@@ -26,6 +26,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
 run cargo test -q
 
+# The member crates' own unit and doc tests. The root manifest is a
+# package, so the tier-1 `cargo test` above covers only the umbrella
+# crate; this runs everything under crates/.
+run cargo test -q --workspace --exclude cachekit
+
 # The fault-injection kit at release optimisation (the differential
 # matrix and the vote-engine edge cases are sized for release), plus a
 # fault-matrix smoke of the robustness figure: small rates, 3 policy

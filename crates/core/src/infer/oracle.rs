@@ -63,6 +63,11 @@ impl fmt::Display for MeasureFault {
 pub trait CacheOracle {
     /// Flush, run `warmup`, then run `probe`; return how many of the
     /// `probe` accesses missed.
+    ///
+    /// The flush drops contents but keeps the replacement state, as
+    /// `wbinvd` does. On the simulated oracles it costs the sets occupied
+    /// since the previous flush ([`Cache::flush`]), so a measurement
+    /// costs its own accesses rather than the cache size.
     fn measure(&mut self, warmup: &[u64], probe: &[u64]) -> usize;
 
     /// Fallible variant of [`measure`](Self::measure): channels that can

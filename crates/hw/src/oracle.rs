@@ -113,11 +113,15 @@ impl<'a> LevelOracle<'a> {
     /// distinct L1 sets?
     fn is_same_set_experiment(&self, warmup: &[u64], probe: &[u64]) -> bool {
         let cfg = self.cpu.l1_config();
-        let mut sets = std::collections::HashSet::new();
+        let mut sets: [Option<usize>; 2] = [None; 2];
         for &a in warmup.iter().chain(probe) {
-            sets.insert(cfg.set_index(a));
-            if sets.len() > 2 {
-                return false;
+            let set = Some(cfg.set_index(a));
+            if sets.contains(&set) {
+                continue;
+            }
+            match sets.iter_mut().find(|s| s.is_none()) {
+                Some(slot) => *slot = set,
+                None => return false,
             }
         }
         true
@@ -264,6 +268,18 @@ mod tests {
         let addrs: Vec<u64> = (0..256u64).map(|i| i * 64).collect();
         let misses = o.measure(&addrs, &addrs);
         assert_eq!(misses, 0, "a fitting sweep must fully hit in L2");
+    }
+
+    #[test]
+    fn same_set_detection_allows_at_most_two_l1_sets() {
+        let mut cpu = toy_cpu();
+        let l1_way = cpu.l1_config().way_size();
+        let o = LevelOracle::new(&mut cpu, CacheLevel::L2);
+        assert!(o.is_same_set_experiment(&[], &[]));
+        assert!(o.is_same_set_experiment(&[0, l1_way], &[2 * l1_way]));
+        assert!(o.is_same_set_experiment(&[0, 64], &[l1_way + 64, 0]));
+        assert!(!o.is_same_set_experiment(&[0, 64], &[128]));
+        assert!(!o.is_same_set_experiment(&[], &[0, 64, l1_way, 128]));
     }
 
     #[test]

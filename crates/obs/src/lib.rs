@@ -22,10 +22,12 @@
 //! differential tests assert bit-identical output with collection on
 //! and off.
 //!
-//! Thread safety: every thread accumulates into its own shard and folds
-//! it into the process-wide store when its outermost span closes (or
-//! the thread exits), so pool workers never contend mid-measurement.
-//! [`snapshot`] returns the merged view.
+//! Thread safety: inside a span, every thread accumulates into its own
+//! shard and folds it into the process-wide store when its outermost
+//! span closes, so pool workers never contend mid-measurement. Records
+//! outside any span go straight to the process-wide store, so whatever
+//! a thread recorded is visible once it is joined. [`snapshot`] returns
+//! the merged view; `docs/observability.md` has the cost model.
 //!
 //! Setting `CACHEKIT_TRACE=1` additionally renders span opens/closes
 //! live on stderr, indented by nesting depth.

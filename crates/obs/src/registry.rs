@@ -1,11 +1,13 @@
 //! Global registry: an enable flag, a per-thread shard (store + span
 //! stack), and the process-wide merge target.
 //!
-//! Writes go to the current thread's shard without locking; the shard is
-//! folded into the global store when the outermost span on that thread
-//! closes (and again when the thread exits), so worker threads spawned
-//! by the parallel engine contribute exactly once and never contend on
-//! the global mutex mid-measurement.
+//! Writes inside a span go to the current thread's shard without
+//! locking; the shard is folded into the global store when the outermost
+//! span on that thread closes, so worker threads never contend on the
+//! global mutex mid-measurement. Writes outside any span have no close to
+//! wait for and go straight to the global store, which is what makes
+//! them visible to [`snapshot`] as soon as the recording thread is
+//! joined.
 
 use crate::store::{Snapshot, Store};
 use std::cell::RefCell;
@@ -28,48 +30,51 @@ static TRACE: OnceLock<bool> = OnceLock::new();
 
 struct ThreadShard {
     store: Store,
-    /// Open span names; the current path is their `/`-join.
-    stack: Vec<String>,
+    /// The open span path: span names joined by `/`.
+    path: String,
+    /// Length of `path` before each open span was pushed (one entry per
+    /// open span, outermost first).
+    marks: Vec<usize>,
+    /// Reused buffer for `path/name` counter keys, so a counter that
+    /// already exists in the shard is bumped without allocating.
+    key: String,
 }
 
 impl ThreadShard {
-    fn path(&self) -> String {
-        self.stack.join("/")
-    }
-
-    fn key_for(&self, name: &str) -> String {
-        if self.stack.is_empty() {
-            name.to_owned()
-        } else {
-            let mut key = self.path();
-            key.push('/');
-            key.push_str(name);
-            key
-        }
+    fn depth(&self) -> usize {
+        self.marks.len()
     }
 
     fn flush_to_global(&mut self) {
         if self.store.is_empty() {
             return;
         }
-        let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        global
-            .get_or_insert_with(Store::default)
-            .merge_from(&mut self.store);
+        with_global(|global| global.merge_from(&mut self.store));
     }
+}
+
+/// Run `f` on the process-wide store under its lock.
+fn with_global<R>(f: impl FnOnce(&mut Store) -> R) -> R {
+    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    f(global.get_or_insert_with(Store::default))
 }
 
 impl Drop for ThreadShard {
     fn drop(&mut self) {
-        // Thread exit: contribute whatever was recorded outside spans
-        // (e.g. worker-pool histograms) before the shard disappears.
+        // Thread exit with a span still open (a leaked guard): contribute
+        // what it recorded before the shard disappears.
         self.flush_to_global();
     }
 }
 
 thread_local! {
     static SHARD: RefCell<ThreadShard> = const {
-        RefCell::new(ThreadShard { store: Store::new(), stack: Vec::new() })
+        RefCell::new(ThreadShard {
+            store: Store::new(),
+            path: String::new(),
+            marks: Vec::new(),
+            key: String::new(),
+        })
     };
 }
 
@@ -110,31 +115,54 @@ fn trace_enabled() -> bool {
 
 /// Add `n` to the counter `name`, attributed to the current thread's
 /// open span path (`"<path>/<name>"`, or bare `name` outside any span).
+///
+/// Inside a span the counter lands in the thread's shard: the key is
+/// built in a reused buffer and only a key's first insert since the
+/// shard last drained allocates. Outside any span it is added to the
+/// global store directly.
 pub fn add(name: &str, n: u64) {
     if !enabled() || n == 0 {
         return;
     }
     SHARD.with(|shard| {
         let mut shard = shard.borrow_mut();
-        let key = shard.key_for(name);
-        shard.store.add_counter(key, n);
+        if shard.depth() == 0 {
+            with_global(|global| global.add_to_counter(name, n));
+            return;
+        }
+        let ThreadShard {
+            store, path, key, ..
+        } = &mut *shard;
+        key.clear();
+        key.push_str(path);
+        key.push('/');
+        key.push_str(name);
+        store.add_to_counter(key, n);
     });
 }
 
 /// Record `value` into the log2 histogram `name`. Histogram names are
 /// global (not span-path prefixed): they describe distributions, not
-/// phase attribution.
+/// phase attribution. Like [`add`], a record outside any span goes to
+/// the global store directly.
 pub fn record(name: &str, value: u64) {
     if !enabled() {
         return;
     }
-    SHARD.with(|shard| shard.borrow_mut().store.record_hist(name, value));
+    SHARD.with(|shard| {
+        let mut shard = shard.borrow_mut();
+        if shard.depth() == 0 {
+            with_global(|global| global.record_hist(name, value));
+        } else {
+            shard.store.record_hist(name, value);
+        }
+    });
 }
 
 /// Depth of the current thread's open-span stack (0 when balanced and
 /// idle); used by tests to prove nesting survives panics.
 pub fn current_depth() -> usize {
-    SHARD.with(|shard| shard.borrow().stack.len())
+    SHARD.with(|shard| shard.borrow().depth())
 }
 
 /// RAII guard for one span entry: created by [`span`], records the
@@ -157,10 +185,15 @@ pub fn span(name: &str) -> SpanGuard {
     }
     SHARD.with(|shard| {
         let mut shard = shard.borrow_mut();
-        shard.stack.push(name.to_owned());
+        let ThreadShard { path, marks, .. } = &mut *shard;
+        marks.push(path.len());
+        if !path.is_empty() {
+            path.push('/');
+        }
+        path.push_str(name);
         if trace_enabled() {
-            let indent = "  ".repeat(shard.stack.len() - 1);
-            eprintln!("[obs] {indent}> {}", shard.path());
+            let indent = "  ".repeat(marks.len() - 1);
+            eprintln!("[obs] {indent}> {path}");
         }
     });
     SpanGuard {
@@ -176,19 +209,21 @@ impl Drop for SpanGuard {
         let dur_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         SHARD.with(|shard| {
             let mut shard = shard.borrow_mut();
+            let ThreadShard {
+                store, path, marks, ..
+            } = &mut *shard;
             // The stack can only be shorter than expected if `reset`
             // ran while this span was open (test-only); skip quietly.
-            if shard.stack.is_empty() {
+            let Some(mark) = marks.pop() else {
                 return;
-            }
-            let path = shard.path();
+            };
             if trace_enabled() {
-                let indent = "  ".repeat(shard.stack.len() - 1);
+                let indent = "  ".repeat(marks.len());
                 eprintln!("[obs] {indent}< {path} ({:.3} ms)", dur_ns as f64 / 1e6);
             }
-            shard.stack.pop();
-            shard.store.observe_span(path, dur_ns);
-            if shard.stack.is_empty() {
+            store.observe_span(path, dur_ns);
+            path.truncate(mark);
+            if marks.is_empty() {
                 // Outermost close: publish this thread's shard.
                 shard.flush_to_global();
             }
@@ -203,8 +238,9 @@ pub fn flush() {
 }
 
 /// Snapshot everything collected so far (flushes the calling thread's
-/// shard first; other threads' unflushed shards are not visible until
-/// their outermost span closes or they exit).
+/// shard first). Another thread's records are visible once it has been
+/// joined, or earlier: span-less records at once, records inside a span
+/// when that thread's outermost span closes.
 pub fn snapshot() -> Snapshot {
     flush();
     let global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -218,7 +254,8 @@ pub fn reset() {
     SHARD.with(|shard| {
         let mut shard = shard.borrow_mut();
         shard.store = Store::default();
-        shard.stack.clear();
+        shard.path.clear();
+        shard.marks.clear();
     });
     let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     *global = None;

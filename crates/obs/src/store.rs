@@ -125,21 +125,30 @@ impl Store {
         }
     }
 
-    pub(crate) fn add_counter(&mut self, key: String, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
+    /// Add `n` to counter `key`; allocates only when the key is new.
+    pub(crate) fn add_to_counter(&mut self, key: &str, n: u64) {
+        match self.counters.get_mut(key) {
+            Some(total) => *total += n,
+            None => {
+                self.counters.insert(key.to_owned(), n);
+            }
+        }
     }
 
-    pub(crate) fn observe_span(&mut self, path: String, dur_ns: u64) {
-        self.spans.entry(path).or_default().observe(dur_ns);
+    pub(crate) fn observe_span(&mut self, path: &str, dur_ns: u64) {
+        let stats = match self.spans.get_mut(path) {
+            Some(stats) => stats,
+            None => self.spans.entry(path.to_owned()).or_default(),
+        };
+        stats.observe(dur_ns);
     }
 
     pub(crate) fn record_hist(&mut self, name: &str, value: u64) {
-        *self
-            .hists
-            .entry(name.to_owned())
-            .or_default()
-            .entry(bucket_index(value))
-            .or_insert(0) += 1;
+        let buckets = match self.hists.get_mut(name) {
+            Some(buckets) => buckets,
+            None => self.hists.entry(name.to_owned()).or_default(),
+        };
+        *buckets.entry(bucket_index(value)).or_insert(0) += 1;
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -227,11 +236,11 @@ mod tests {
     fn merge_drains_the_source_and_sums_everything() {
         let mut a = Store::default();
         let mut b = Store::default();
-        a.add_counter("x".into(), 2);
-        b.add_counter("x".into(), 3);
-        b.add_counter("y".into(), 1);
-        a.observe_span("s".into(), 10);
-        b.observe_span("s".into(), 30);
+        a.add_to_counter("x", 2);
+        b.add_to_counter("x", 3);
+        b.add_to_counter("y", 1);
+        a.observe_span("s", 10);
+        b.observe_span("s", 30);
         b.record_hist("h", 5);
         a.merge_from(&mut b);
         assert!(b.is_empty());
@@ -245,9 +254,9 @@ mod tests {
     #[test]
     fn counter_totals_aggregate_by_leaf_name() {
         let mut s = Store::default();
-        s.add_counter("phase_a/oracle.measurements".into(), 4);
-        s.add_counter("phase_b/oracle.measurements".into(), 6);
-        s.add_counter("oracle.measurements".into(), 1);
+        s.add_to_counter("phase_a/oracle.measurements", 4);
+        s.add_to_counter("phase_b/oracle.measurements", 6);
+        s.add_to_counter("oracle.measurements", 1);
         let totals = s.snapshot().counter_totals();
         assert_eq!(totals["oracle.measurements"], 11);
     }
@@ -311,9 +320,9 @@ mod tests {
     #[test]
     fn span_min_max_track_extremes_not_defaults() {
         let mut s = Store::default();
-        s.observe_span("p".into(), 7);
-        s.observe_span("p".into(), 3);
-        s.observe_span("p".into(), 9);
+        s.observe_span("p", 7);
+        s.observe_span("p", 3);
+        s.observe_span("p", 9);
         let st = s.spans["p"];
         assert_eq!((st.min_ns, st.max_ns, st.count), (3, 9, 3));
     }

@@ -59,6 +59,11 @@ pub struct EvictedLine {
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<CacheSet>,
+    /// Indices of the sets that went from empty to occupied since the
+    /// last [`flush`](Self::flush) — every set holding a valid line is
+    /// listed. Capped at the set count; a full list means "walk every
+    /// set" (duplicates arise when a set is emptied and refilled).
+    filled_sets: Vec<usize>,
     stats: CacheStats,
     policy_label: String,
 }
@@ -99,6 +104,7 @@ impl Cache {
         Self {
             config,
             sets,
+            filled_sets: Vec::new(),
             stats: CacheStats::default(),
             policy_label: policy_label.into(),
         }
@@ -170,6 +176,10 @@ impl Cache {
             }
             SetOutcome::Miss { evicted, .. } => {
                 self.stats.record_miss(evicted.is_some());
+                // The first line into an empty set: list it for `flush`.
+                if evicted.is_none() && self.sets[set].occupancy() == 1 {
+                    self.note_filled(set);
+                }
                 (
                     AccessOutcome::Miss {
                         evicted: evicted.map(|t| self.config.addr_of(t, set)),
@@ -213,7 +223,11 @@ impl Cache {
     pub fn install(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
         let set = self.config.set_index(addr);
         let tag = self.config.tag(addr);
-        self.sets[set].install_tag(tag, dirty).map(|(t, d)| {
+        let evicted = self.sets[set].install_tag(tag, dirty);
+        if evicted.is_none() && self.sets[set].occupancy() == 1 {
+            self.note_filled(set);
+        }
+        evicted.map(|(t, d)| {
             self.stats.evictions += 1;
             if d {
                 self.stats.writebacks += 1;
@@ -269,9 +283,33 @@ impl Cache {
 
     /// Invalidate all contents (replacement state is preserved, like a
     /// hardware flush).
+    ///
+    /// Costs the sets occupied since the last flush, not the cache size:
+    /// a set that received no line holds nothing to invalidate, so only
+    /// the sets filled since then are visited (every set, if more fills
+    /// than the cache has sets happened in between). Each visited set
+    /// invalidates its valid ways in ascending order through
+    /// [`CacheSet::flush`], exactly as a full walk would.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.flush();
+        if self.filled_sets.len() >= self.sets.len() {
+            for s in &mut self.sets {
+                s.flush();
+            }
+        } else {
+            for &i in &self.filled_sets {
+                self.sets[i].flush();
+            }
+        }
+        self.filled_sets.clear();
+    }
+
+    /// Record that set `index` may have gone from empty to occupied, so
+    /// the next [`flush`](Self::flush) visits it. Past the cap the list
+    /// stops growing and the flush walks every set.
+    #[inline]
+    fn note_filled(&mut self, index: usize) {
+        if self.filled_sets.len() < self.sets.len() {
+            self.filled_sets.push(index);
         }
     }
 
@@ -296,7 +334,13 @@ impl Cache {
     }
 
     /// Mutably borrow a set (for interference models).
+    ///
+    /// The borrow can fill lines behind the cache's back, so an empty set
+    /// is recorded for the next [`flush`](Self::flush) up front.
     pub fn set_mut(&mut self, index: usize) -> &mut CacheSet {
+        if self.sets[index].occupancy() == 0 {
+            self.note_filled(index);
+        }
         &mut self.sets[index]
     }
 
@@ -343,17 +387,22 @@ impl Cache {
         }
         let mut hits = 0u64;
         let mut misses = 0u64;
-        for (set, run) in self.sets.iter_mut().zip(&runs) {
+        for (index, run) in runs.iter().enumerate() {
             if run.is_empty() {
                 continue;
             }
+            let set = &mut self.sets[index];
             let occ_before = set.occupancy() as u64;
             let (h, m) = set.access_many(run);
+            let occ_after = set.occupancy() as u64;
             hits += h;
             misses += m;
             // A miss that displaced a valid line is an eviction; fills
             // into invalid ways grow the occupancy instead.
-            self.stats.evictions += m - (set.occupancy() as u64 - occ_before);
+            self.stats.evictions += m - (occ_after - occ_before);
+            if occ_before == 0 {
+                self.note_filled(index);
+            }
         }
         self.stats.accesses += hits + misses;
         self.stats.hits += hits;

@@ -264,12 +264,9 @@ impl WorkerPool {
                         return; // queue closed and drained: the pool is dropping
                     };
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    if cachekit_obs::enabled() {
-                        cachekit_obs::add("worker_pool.jobs", 1);
-                        if result.is_err() {
-                            cachekit_obs::add("worker_pool.job_panics", 1);
-                        }
-                        cachekit_obs::flush();
+                    cachekit_obs::add("worker_pool.jobs", 1);
+                    if result.is_err() {
+                        cachekit_obs::add("worker_pool.job_panics", 1);
                     }
                 })
             })

@@ -425,16 +425,20 @@ impl CacheSet {
 
     /// Invalidate every line. The replacement state is *not* reset —
     /// mirroring real hardware, where `wbinvd` drops contents but leaves
-    /// LRU/PLRU bits alone.
+    /// LRU/PLRU bits alone: the policy sees one `on_invalidate` per valid
+    /// way, in ascending way order.
+    ///
+    /// Costs the valid lines, not the associativity: only set bits of the
+    /// validity mask are visited, so flushing an empty set is free.
     pub fn flush(&mut self) {
-        for way in 0..self.tags.len() {
-            let bit = 1u128 << way;
-            if self.valid & bit != 0 {
-                self.valid &= !bit;
-                self.dirty &= !bit;
-                self.policy.on_invalidate(way);
-            }
+        let valid = self.valid;
+        let mut rest = valid;
+        while rest != 0 {
+            self.policy.on_invalidate(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
+        self.valid = 0;
+        self.dirty &= !valid;
     }
 
     /// Evict the line in `way` directly (used by interference models to
@@ -547,6 +551,32 @@ mod tests {
         assert_eq!(s.occupancy(), 0);
         // Tags are gone, contains is false.
         assert!(!s.contains(1));
+    }
+
+    #[test]
+    fn flush_invalidates_valid_ways_in_ascending_order() {
+        // Reference: one `force_evict` per way, lowest first — the
+        // per-way walk `flush` replaces.
+        for kind in PolicyKind::differential_kinds() {
+            let mut flushed = CacheSet::from_state(kind.build_state(8, 3));
+            for tag in [10, 11, 12, 13, 14, 15, 10, 16, 17, 18, 12] {
+                flushed.access_rw(tag, tag % 2 == 0);
+            }
+            flushed.invalidate(11);
+            flushed.invalidate(14);
+            let mut walked = flushed.clone();
+            flushed.flush();
+            for way in 0..8 {
+                walked.force_evict(way);
+            }
+            assert_eq!(flushed.occupancy(), 0, "kind {kind:?}");
+            assert_eq!(
+                flushed.policy().state_key(),
+                walked.policy().state_key(),
+                "kind {kind:?}"
+            );
+            assert_eq!((flushed.valid, flushed.dirty), (walked.valid, walked.dirty));
+        }
     }
 
     #[test]
