@@ -126,6 +126,30 @@ if grep -q '"met": false' results/serve_load.json; then
     exit 1
 fi
 
+# End-to-end benchmark smoke. perfbench is a workspace of its own, so
+# no stage above builds it. One round of every workload at seed 1:
+# each run checks all of its outputs, and its last line must report
+# them correct with no failed operation. eval_sweep's round digest
+# covers every statistic the sweep simulates, so any change to
+# simulated behaviour (an engine, the address mapping, the hierarchy)
+# fails here; update the pin only for an intended behaviour change.
+echo "==> CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
+    echo "==> perfbench --workload $workload --seed 1 --seconds 1 --trace 0"
+    out=$(./.bench_build/release/cachekit-perfbench --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    last=$(tail -n 1 <<<"$out")
+    if [[ "$last" != *'"correct": true,'* || "$last" != *'"failed": 0,'* ]]; then
+        echo "ci: perfbench $workload reports failures: $last" >&2
+        exit 1
+    fi
+    if [[ "$workload" == eval_sweep ]] && ! grep -q '^round 0 digest aa0f605088a8d4a5 ' <<<"$out"; then
+        echo "ci: perfbench eval_sweep round 0 digest moved:" >&2
+        grep '^round 0 digest' <<<"$out" >&2
+        exit 1
+    fi
+done
+
 # Offline build of the umbrella package specifically (regression guard
 # for the seed's original failure: manifests referencing crates.io).
 run cargo build --release -p cachekit --offline

@@ -47,13 +47,13 @@
 //!   mirroring [`table_for_kind`](super::table_for_kind).
 
 use cachekit_policies::{PolicyKind, ReplacementPolicy};
-use cachekit_sim::AccessOutcome;
+use cachekit_sim::{find_way, AccessOutcome};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::table::find_way_full;
+use super::table::filled_mask;
 use super::TableError;
 
 /// Hard ceiling on a lazy table's state budget. Ids are `u32` with two
@@ -510,12 +510,8 @@ impl LazyTableCache {
         let assoc = self.table.associativity();
         let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
         let filled = self.filled[set] as usize;
-        // Locate the way first — identical scan for both modes.
-        let way = if filled == assoc {
-            find_way_full(tags, tag)
-        } else {
-            tags[..filled].iter().position(|&t| t == tag)
-        };
+        // Locate the way first — identical lookup for both modes.
+        let way = find_way(tags, filled_mask(filled), tag);
         match &mut self.mode[set] {
             SetMode::Table(id) => {
                 if let Some(way) = way {

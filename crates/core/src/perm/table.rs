@@ -31,7 +31,7 @@
 //! or invalidate must stay on the enum engine.
 
 use cachekit_policies::{PolicyKind, ReplacementPolicy};
-use cachekit_sim::AccessOutcome;
+use cachekit_sim::{find_way, AccessOutcome};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -253,30 +253,15 @@ impl PermTable {
     }
 }
 
-/// Branchless resident-way lookup over a **fully valid** tag array; the
-/// catalog associativities get fixed-width bodies so the compare loop
-/// fully unrolls (same technique as the enum engine's batch loop in
-/// `cachekit-sim`, duplicated because neither crate depends on the
-/// other in that direction).
+/// Validity mask of a flat table-engine set holding `filled` lines: the
+/// pure-access protocol fills ways in ascending order, so exactly ways
+/// `0..filled` are valid.
 #[inline]
-pub(crate) fn find_way_full(tags: &[u64], tag: u64) -> Option<usize> {
-    #[inline]
-    fn fixed<const A: usize>(tags: &[u64; A], tag: u64) -> Option<usize> {
-        let mut mask = 0u32;
-        for (w, &t) in tags.iter().enumerate() {
-            mask |= u32::from(t == tag) << w;
-        }
-        (mask != 0).then(|| mask.trailing_zeros() as usize)
-    }
-    match tags.len() {
-        2 => fixed::<2>(tags.try_into().expect("len matches"), tag),
-        4 => fixed::<4>(tags.try_into().expect("len matches"), tag),
-        6 => fixed::<6>(tags.try_into().expect("len matches"), tag),
-        8 => fixed::<8>(tags.try_into().expect("len matches"), tag),
-        12 => fixed::<12>(tags.try_into().expect("len matches"), tag),
-        16 => fixed::<16>(tags.try_into().expect("len matches"), tag),
-        24 => fixed::<24>(tags.try_into().expect("len matches"), tag),
-        _ => tags.iter().position(|&t| t == tag),
+pub(crate) fn filled_mask(filled: usize) -> u128 {
+    if filled >= 128 {
+        u128::MAX
+    } else {
+        (1u128 << filled) - 1
     }
 }
 
@@ -315,12 +300,9 @@ impl TableSet {
     /// carries the displaced tag.
     #[inline]
     pub fn access(&mut self, tag: u64) -> AccessOutcome {
-        let assoc = self.tags.len();
-        for way in 0..assoc {
-            if self.valid & (1u128 << way) != 0 && self.tags[way] == tag {
-                self.state = self.table.hit_next(self.state, way);
-                return AccessOutcome::Hit;
-            }
+        if let Some(way) = find_way(&self.tags, self.valid, tag) {
+            self.state = self.table.hit_next(self.state, way);
+            return AccessOutcome::Hit;
         }
         let s = self.state as usize;
         let way = self.table.fill_way[s] as usize;
@@ -336,16 +318,11 @@ impl TableSet {
     ///
     /// Access-for-access identical to calling [`access`](Self::access)
     /// per element, but once the set is full the loop tightens: the
-    /// validity test disappears from the scan (every way stays valid)
-    /// and the per-transition bookkeeping reduces to the two table
-    /// reads.
+    /// validity mask is constant (every way stays valid) and the
+    /// per-transition bookkeeping reduces to the two table reads.
     pub fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
         let assoc = self.tags.len();
-        let full: u128 = if assoc == 128 {
-            u128::MAX
-        } else {
-            (1u128 << assoc) - 1
-        };
+        let full = filled_mask(assoc);
         let mut hits = 0u64;
         let mut rest = stream;
         while self.valid != full {
@@ -363,7 +340,7 @@ impl TableSet {
         let tags = self.tags.as_mut_slice();
         let mut state = self.state as usize;
         for &tag in rest {
-            if let Some(way) = find_way_full(tags, tag) {
+            if let Some(way) = find_way(tags, full, tag) {
                 state = hit_rows[state * assoc + way] as usize;
                 hits += 1;
             } else {
@@ -457,36 +434,28 @@ impl TableCache {
         let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
         let st = self.state[set];
         let filled = self.filled[set] as usize;
-        if filled == assoc {
-            if let Some(way) = find_way_full(tags, tag) {
-                self.state[set] = self.table.hit_next(st, way);
-                return AccessOutcome::Hit;
-            }
-            let way = self.table.fill_way[st as usize] as usize;
-            let evicted = Some(tags[way]);
-            tags[way] = tag;
-            self.state[set] = self.table.fill_next[st as usize];
-            return AccessOutcome::Miss { evicted };
-        }
-        // Warm-up: ways 0..filled are the valid ones.
-        for (way, &t) in tags.iter().enumerate().take(filled) {
-            if t == tag {
-                self.state[set] = self.table.hit_next(st, way);
-                return AccessOutcome::Hit;
-            }
+        if let Some(way) = find_way(tags, filled_mask(filled), tag) {
+            self.state[set] = self.table.hit_next(st, way);
+            return AccessOutcome::Hit;
         }
         let way = self.table.fill_way[st as usize] as usize;
-        debug_assert_eq!(way, filled, "warm-up fills ascend");
+        let evicted = if filled == assoc {
+            Some(tags[way])
+        } else {
+            debug_assert_eq!(way, filled, "warm-up fills ascend");
+            self.filled[set] = filled as u8 + 1;
+            None
+        };
         tags[way] = tag;
-        self.filled[set] = filled as u8 + 1;
         self.state[set] = self.table.fill_next[st as usize];
-        AccessOutcome::Miss { evicted: None }
+        AccessOutcome::Miss { evicted }
     }
 
     /// Run an interleaved stream of `(set, tag)` accesses, returning
     /// `(hits, misses)`. Access-for-access identical to calling
-    /// [`access`](Self::access) per element; full sets take a tightened
-    /// path that is nothing but the tag scan and the two table reads.
+    /// [`access`](Self::access) per element, with the table rows hoisted
+    /// out of the loop: an access is the masked tag lookup and the two
+    /// table reads.
     ///
     /// # Panics
     ///
@@ -502,31 +471,15 @@ impl TableCache {
             let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
             let st = self.state[set] as usize;
             let filled = self.filled[set] as usize;
-            if filled == assoc {
-                if let Some(way) = find_way_full(tags, tag) {
-                    self.state[set] = hit_rows[st * assoc + way];
-                    hits += 1;
-                } else {
-                    let way = fill_way[st] as usize;
-                    tags[way] = tag;
-                    self.state[set] = fill_next[st];
-                }
-                continue;
-            }
-            let mut hit = false;
-            for (way, &t) in tags.iter().enumerate().take(filled) {
-                if t == tag {
-                    self.state[set] = hit_rows[st * assoc + way];
-                    hit = true;
-                    break;
-                }
-            }
-            if hit {
+            if let Some(way) = find_way(tags, filled_mask(filled), tag) {
+                self.state[set] = hit_rows[st * assoc + way];
                 hits += 1;
             } else {
                 let way = fill_way[st] as usize;
                 tags[way] = tag;
-                self.filled[set] = filled as u8 + 1;
+                if filled < assoc {
+                    self.filled[set] = filled as u8 + 1;
+                }
                 self.state[set] = fill_next[st];
             }
         }

@@ -98,10 +98,13 @@ impl<'a> LevelOracle<'a> {
             // No address can conflict in L1 but not in L2: skip.
             return;
         }
+        // Way sizes are powers of two, so is their ratio: `j` is a
+        // multiple of it iff its low bits are clear.
+        debug_assert!(ratio.is_power_of_two());
         let mut issued = 0u64;
         let mut j = 1u64;
         while issued < 2 * assoc as u64 {
-            if !j.is_multiple_of(ratio) {
+            if j & (ratio - 1) != 0 {
                 self.cpu.access(addr + j * l1_way);
                 issued += 1;
             }
@@ -140,6 +143,7 @@ impl<'a> LevelOracle<'a> {
         if ratio < 2 {
             return;
         }
+        debug_assert!(ratio.is_power_of_two());
         let rounds = 2 * self
             .cpu
             .l1_config()
@@ -148,7 +152,7 @@ impl<'a> LevelOracle<'a> {
         let mut issued = 0u64;
         let mut j = 1u64;
         while issued < rounds {
-            if !j.is_multiple_of(ratio) {
+            if j & (ratio - 1) != 0 {
                 self.cpu.access(addr + j * l2_way);
                 issued += 1;
             }

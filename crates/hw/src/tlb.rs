@@ -14,6 +14,8 @@ use std::collections::VecDeque;
 pub struct Tlb {
     entries: usize,
     page_size: u64,
+    /// `log2(page_size)`: page numbers are a shift, not a division.
+    page_shift: u32,
     /// Resident page numbers, most recently used at the front.
     resident: VecDeque<u64>,
     misses: u64,
@@ -35,6 +37,7 @@ impl Tlb {
         Self {
             entries,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             resident: VecDeque::new(),
             misses: 0,
             lookups: 0,
@@ -49,7 +52,7 @@ impl Tlb {
     /// Translate the page of `addr`; returns `true` on a TLB hit.
     pub fn lookup(&mut self, addr: u64) -> bool {
         self.lookups += 1;
-        let vpn = addr / self.page_size;
+        let vpn = addr >> self.page_shift;
         if let Some(pos) = self.resident.iter().position(|&p| p == vpn) {
             let p = self.resident.remove(pos).expect("position valid");
             self.resident.push_front(p);
@@ -68,7 +71,7 @@ impl Tlb {
     /// (the line a page walk would touch).
     pub fn pte_addr(&self, addr: u64) -> u64 {
         const PAGE_TABLE_BASE: u64 = 1 << 40;
-        PAGE_TABLE_BASE + (addr / self.page_size) * 8
+        PAGE_TABLE_BASE + (addr >> self.page_shift) * 8
     }
 
     /// Misses so far.

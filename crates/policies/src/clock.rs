@@ -54,6 +54,17 @@ impl Clock {
     pub fn reference_bits(&self) -> &[bool] {
         &self.referenced
     }
+
+    /// Move the hand to the next way, wrapping after the last one (a
+    /// compare, not a division: the associativity need not be a power
+    /// of two).
+    #[inline]
+    fn advance_hand(&mut self) {
+        self.hand += 1;
+        if self.hand == self.referenced.len() {
+            self.hand = 0;
+        }
+    }
 }
 
 impl ReplacementPolicy for Clock {
@@ -76,7 +87,7 @@ impl ReplacementPolicy for Clock {
         loop {
             if self.referenced[self.hand] {
                 self.referenced[self.hand] = false;
-                self.hand = (self.hand + 1) % self.referenced.len();
+                self.advance_hand();
             } else {
                 return self.hand;
             }
@@ -89,7 +100,7 @@ impl ReplacementPolicy for Clock {
         self.referenced[way] = true;
         if way == self.hand {
             // The hand moves past a way it just replaced.
-            self.hand = (self.hand + 1) % self.referenced.len();
+            self.advance_hand();
         }
     }
 

@@ -64,6 +64,9 @@ pub struct Cache {
     /// listed. Capped at the set count; a full list means "walk every
     /// set" (duplicates arise when a set is emptied and refilled).
     filled_sets: Vec<usize>,
+    /// Whether some set holds a boxed [`PolicyState::Other`] policy, which
+    /// may share state with other sets (see [`access_many`](Self::access_many)).
+    boxed: bool,
     stats: CacheStats,
     policy_label: String,
 }
@@ -90,7 +93,7 @@ impl Cache {
         policy_label: impl Into<String>,
         mut factory: impl FnMut(u64) -> PolicyState,
     ) -> Self {
-        let sets = (0..config.num_sets())
+        let sets: Vec<CacheSet> = (0..config.num_sets())
             .map(|i| {
                 let p = factory(i);
                 assert_eq!(
@@ -101,10 +104,14 @@ impl Cache {
                 CacheSet::from_state(p)
             })
             .collect();
+        let boxed = sets
+            .iter()
+            .any(|s| matches!(s.policy_state(), PolicyState::Other(_)));
         Self {
             config,
             sets,
             filled_sets: Vec::new(),
+            boxed,
             stats: CacheStats::default(),
             policy_label: policy_label.into(),
         }
@@ -374,13 +381,25 @@ impl Cache {
     /// `(hits, misses)` for the stream and updating the statistics.
     ///
     /// Behaviour (contents, replacement state, hit/miss/eviction counts)
-    /// is identical to calling [`access`](Self::access) per element:
-    /// sets are independent, so the stream is bucketed per set — which
-    /// preserves program order within each set — and each set replays
-    /// its run through [`CacheSet::access_many`], hitting the compiled
-    /// batch kernel when the policy has one (see
-    /// [`batch_kernel`](Self::batch_kernel)).
+    /// is identical to calling [`access`](Self::access) per element.
+    /// Catalog policies keep all their state inside their set, so the
+    /// stream is bucketed per set — which preserves program order within
+    /// each set — and each set replays its run through
+    /// [`CacheSet::access_many`], hitting the compiled batch kernel when
+    /// the policy has one (see [`batch_kernel`](Self::batch_kernel)).
+    ///
+    /// Boxed policies ([`PolicyState::Other`], e.g. from
+    /// [`with_policy_factory`](Self::with_policy_factory)) may share
+    /// state across sets: the DIP and DRRIP families update one PSEL
+    /// counter from their leader sets, and bucketing would reorder those
+    /// updates. A cache holding any boxed policy therefore runs the
+    /// stream in program order, one [`access`](Self::access) at a time
+    /// (no batch kernel exists for boxed policies anyway).
     pub fn access_many(&mut self, addrs: &[u64]) -> (u64, u64) {
+        if self.boxed {
+            let delta = self.run_trace(addrs.iter().copied());
+            return (delta.hits, delta.misses);
+        }
         let mut runs: Vec<Vec<u64>> = vec![Vec::new(); self.sets.len()];
         for &addr in addrs {
             runs[self.config.set_index(addr)].push(self.config.tag(addr));
@@ -580,6 +599,62 @@ mod tests {
                     batched.contains(*a),
                     serial.contains(*a),
                     "{kind:?}@{assoc}"
+                );
+            }
+        }
+    }
+
+    /// Set-dueling families share PSEL across sets, so `access_many` must
+    /// keep program order for them: stats, contents and PSEL must match
+    /// per-access calls after every chunk.
+    #[test]
+    fn access_many_keeps_program_order_for_set_dueling() {
+        use cachekit_policies::{DipFamily, DrripFamily, DuelState};
+        use std::sync::Arc;
+        let cfg = CacheConfig::new(64 * 1024, 8, 64).unwrap();
+        let build = |name: &str| -> (Cache, Arc<DuelState>) {
+            if name == "DIP" {
+                let f = DipFamily::new(8, 32, 7);
+                let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));
+                (c, Arc::clone(f.duel()))
+            } else {
+                let f = DrripFamily::new(8, 2, 32, 7);
+                let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));
+                (c, Arc::clone(f.duel()))
+            }
+        };
+        // Alternate scans of fresh lines with loops over 1.25x the
+        // capacity, which thrash the recency components but not the
+        // bimodal ones, so the leader sets move PSEL.
+        let lines = cfg.capacity() / 64;
+        let chunks: Vec<Vec<u64>> = (0..6u64)
+            .map(|phase| {
+                if phase.is_multiple_of(2) {
+                    (0..4 * lines)
+                        .map(|i| (phase * 7 * lines + i) * 64)
+                        .collect()
+                } else {
+                    (0..8 * lines).map(|i| (i % (lines * 5 / 4)) * 64).collect()
+                }
+            })
+            .collect();
+        for name in ["DIP", "DRRIP"] {
+            let (mut batched, batched_duel) = build(name);
+            let (mut serial, serial_duel) = build(name);
+            for (c, chunk) in chunks.iter().enumerate() {
+                let (hits, misses) = batched.access_many(chunk);
+                let before = serial.stats().hits;
+                for &a in chunk {
+                    serial.access(a);
+                }
+                assert_eq!(hits, serial.stats().hits - before, "{name} chunk {c}");
+                assert_eq!(hits + misses, chunk.len() as u64, "{name} chunk {c}");
+                assert_eq!(batched.stats(), serial.stats(), "{name} chunk {c}");
+                assert_eq!(batched_duel.psel(), serial_duel.psel(), "{name} chunk {c}");
+                assert_eq!(
+                    batched.resident_lines(),
+                    serial.resident_lines(),
+                    "{name} chunk {c}"
                 );
             }
         }

@@ -13,6 +13,16 @@ use std::fmt;
 /// (e.g. the 6-way L1 of the Atom D525 or the 24-way L2 of the Core 2 Duo
 /// E8400).
 ///
+/// The mapping is division-free. [`new`](Self::new) admits only a
+/// power-of-two line size and a power-of-two set count, and it stores
+/// their base-2 logarithms. For an unsigned `x` and `d = 2^k`,
+/// `x / d == x >> k` and `x % d == x & (d - 1)` hold exactly, so
+/// [`set_index`](Self::set_index), [`tag`](Self::tag) and
+/// [`addr_of`](Self::addr_of) use shifts and masks and return what the
+/// division formulas `addr / line % sets` and `addr / line / sets` would.
+/// The shift `tag` uses is below 64, because one way
+/// (`line_size × num_sets`) is no larger than the capacity, a `u64`.
+///
 /// # Example
 ///
 /// ```
@@ -31,6 +41,10 @@ pub struct CacheConfig {
     associativity: usize,
     line_size: u64,
     num_sets: u64,
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// `log2(num_sets)`.
+    set_bits: u32,
     index: IndexFunction,
 }
 
@@ -125,6 +139,8 @@ impl CacheConfig {
             associativity,
             line_size,
             num_sets,
+            line_shift: line_size.trailing_zeros(),
+            set_bits: num_sets.trailing_zeros(),
             index: IndexFunction::Modulo,
         })
     }
@@ -167,35 +183,37 @@ impl CacheConfig {
     }
 
     /// The line-aligned address containing `addr`.
+    #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr & !(self.line_size - 1)
     }
 
     /// Set index of `addr`.
+    #[inline]
     pub fn set_index(&self, addr: u64) -> usize {
-        let line_number = addr / self.line_size;
-        match self.index {
-            IndexFunction::Modulo => (line_number % self.num_sets) as usize,
-            IndexFunction::XorFold => {
-                let tag = line_number / self.num_sets;
-                ((line_number ^ tag) % self.num_sets) as usize
-            }
-        }
+        let line_number = addr >> self.line_shift;
+        let low = match self.index {
+            IndexFunction::Modulo => line_number,
+            IndexFunction::XorFold => line_number ^ (line_number >> self.set_bits),
+        };
+        (low & (self.num_sets - 1)) as usize
     }
 
     /// Tag of `addr` (the line address bits above the set index).
+    #[inline]
     pub fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_size / self.num_sets
+        addr >> (self.line_shift + self.set_bits)
     }
 
     /// Reconstruct the line address for a `(tag, set)` pair — the inverse
     /// of [`tag`](Self::tag) + [`set_index`](Self::set_index).
+    #[inline]
     pub fn addr_of(&self, tag: u64, set: usize) -> u64 {
         let low = match self.index {
             IndexFunction::Modulo => set as u64,
-            IndexFunction::XorFold => (set as u64 ^ tag) % self.num_sets,
+            IndexFunction::XorFold => (set as u64 ^ tag) & (self.num_sets - 1),
         };
-        (tag * self.num_sets + low) * self.line_size
+        ((tag << self.set_bits) + low) << self.line_shift
     }
 
     /// The `i`-th distinct line address mapping to `set` (a convenient
@@ -323,6 +341,56 @@ mod tests {
             .map(|i| modulo.set_index(i * modulo.way_size()))
             .collect::<std::collections::HashSet<_>>();
         assert_eq!(plain.len(), 1);
+    }
+
+    /// The shift/mask mapping against the division formulas it replaced,
+    /// kept here as the reference: every power-of-two line size and set
+    /// count in range, odd and even associativities, both index
+    /// functions, random addresses plus the extremes and way-size
+    /// multiples.
+    #[test]
+    fn shift_mapping_matches_division_formulas() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // splitmix64
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for line_log in 0..=20u32 {
+            for sets_log in 0..=16u32 {
+                for assoc in [1usize, 3, 6, 8, 24] {
+                    let (line, sets) = (1u64 << line_log, 1u64 << sets_log);
+                    let modulo = CacheConfig::new(line * sets * assoc as u64, assoc, line)
+                        .expect("power-of-two geometry");
+                    for cfg in [modulo, modulo.with_index_function(IndexFunction::XorFold)] {
+                        let way = cfg.way_size();
+                        let mut addrs = vec![0, u64::MAX, way, 7 * way, way - 1, way * sets];
+                        addrs.extend((0..24).map(|_| next()));
+                        addrs.extend((0..8).map(|_| next() % 64 * way));
+                        for addr in addrs {
+                            let line_number = addr / line;
+                            let tag = line_number / sets;
+                            let set = match cfg.index_function() {
+                                IndexFunction::Modulo => line_number % sets,
+                                IndexFunction::XorFold => (line_number ^ tag) % sets,
+                            } as usize;
+                            let low = match cfg.index_function() {
+                                IndexFunction::Modulo => set as u64,
+                                IndexFunction::XorFold => (set as u64 ^ tag) % sets,
+                            };
+                            let line_addr = (tag * sets + low) * line;
+                            assert_eq!(cfg.set_index(addr), set, "{cfg:?} {addr:#x}");
+                            assert_eq!(cfg.tag(addr), tag, "{cfg:?} {addr:#x}");
+                            assert_eq!(cfg.addr_of(tag, set), line_addr, "{cfg:?} {addr:#x}");
+                            assert_eq!(cfg.line_addr(addr), line_addr, "{cfg:?} {addr:#x}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -192,6 +192,9 @@ pub struct Hierarchy {
     latencies: Vec<u64>,
     memory_latency: u64,
     hstats: HierarchyStats,
+    /// NINE's pending write-backs as `(level, line)`, empty between
+    /// accesses; kept so a dirty victim does not allocate per access.
+    writebacks: Vec<(usize, u64)>,
 }
 
 impl Hierarchy {
@@ -226,6 +229,7 @@ impl Hierarchy {
             latencies,
             memory_latency: DEFAULT_MEMORY_LATENCY,
             hstats: HierarchyStats::default(),
+            writebacks: Vec::new(),
         }
     }
 
@@ -323,14 +327,14 @@ impl Hierarchy {
     fn access_nine(&mut self, addr: u64, write: bool) -> HierarchyOutcome {
         let depth = self.levels.len();
         let mut result = HierarchyOutcome::Memory;
-        let mut writebacks: Vec<(usize, u64)> = Vec::new();
+        debug_assert!(self.writebacks.is_empty());
         for i in 0..depth {
             // The dirty bit lands in the innermost level only: the fill
             // into deeper levels is a clean read-for-ownership fetch.
             let (outcome, wb) = self.levels[i].access_op(addr, write && i == 0);
             if let Some(victim) = wb {
                 if i + 1 < depth {
-                    writebacks.push((i + 1, victim));
+                    self.writebacks.push((i + 1, victim));
                 } else {
                     self.hstats.memory_writebacks += 1;
                 }
@@ -342,11 +346,11 @@ impl Hierarchy {
         }
         // Absorb the write-backs after the demand access settles: each is
         // a write at the next level (possibly cascading further).
-        while let Some((level, victim)) = writebacks.pop() {
+        while let Some((level, victim)) = self.writebacks.pop() {
             let (_, wb) = self.levels[level].access_op(victim, true);
             if let Some(next_victim) = wb {
                 if level + 1 < depth {
-                    writebacks.push((level + 1, next_victim));
+                    self.writebacks.push((level + 1, next_victim));
                 } else {
                     self.hstats.memory_writebacks += 1;
                 }

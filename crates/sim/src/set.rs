@@ -51,6 +51,19 @@ impl TagArray {
             TagArray::Heap(vec![0; assoc])
         }
     }
+
+    /// The lowest way among those set in `valid` that holds `tag`.
+    ///
+    /// An inline row compares all [`INLINE_TAG_WAYS`] slots, a
+    /// fixed-width compare with no per-associativity dispatch; the slots
+    /// past `len` are never valid, so the mask drops them.
+    #[inline]
+    fn find(&self, valid: u128, tag: u64) -> Option<usize> {
+        match self {
+            TagArray::Inline { buf, .. } => lowest_way(match_mask(buf, tag) & valid as u64),
+            TagArray::Heap(row) => find_way(row, valid, tag),
+        }
+    }
 }
 
 impl std::ops::Deref for TagArray {
@@ -91,39 +104,57 @@ pub(crate) enum SetOutcome {
     },
 }
 
-/// Branchless resident-way lookup over a **fully valid** tag array.
-///
-/// The catalog associativities get fixed-width bodies so the compare
-/// loop fully unrolls (and vectorizes): a lookup costs no data-dependent
-/// branches, where an early-exit scan pays a misprediction on nearly
-/// every access because the hit way is essentially random.
+/// Bitmask of the ways of `row` (at most 64) that hold `tag`: bit `w`
+/// is set iff `row[w] == tag`. Every way is compared, so the loop
+/// unrolls and vectorizes and costs no data-dependent branch, where an
+/// early-exit scan mispredicts on nearly every access because the hit
+/// way is essentially random.
 #[inline]
-fn find_way_full(tags: &[u64], tag: u64) -> Option<usize> {
-    #[inline]
-    fn fixed<const A: usize>(tags: &[u64; A], tag: u64) -> Option<usize> {
-        let mut mask = 0u32;
-        for (w, &t) in tags.iter().enumerate() {
-            mask |= u32::from(t == tag) << w;
+fn match_mask(row: &[u64], tag: u64) -> u64 {
+    debug_assert!(row.len() <= 64);
+    let mut mask = 0u64;
+    for (w, &t) in row.iter().enumerate() {
+        mask |= u64::from(t == tag) << w;
+    }
+    mask
+}
+
+#[inline]
+fn lowest_way(hits: u64) -> Option<usize> {
+    (hits != 0).then(|| hits.trailing_zeros() as usize)
+}
+
+/// The lowest way of `row` that holds `tag` and whose bit is set in
+/// `valid` — the way lookup every engine shares.
+///
+/// The whole row is compared into a bitmask (64 ways at a time), ANDed
+/// with `valid` and the lowest bit taken, so full and partially filled
+/// sets take the same path and a stale tag left in an invalidated way
+/// never matches. Each caller masks with its own fill state: a
+/// [`CacheSet`]'s validity bits, or the low `filled` bits of a table
+/// engine that fills its ways in ascending order.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if `row` is longer than 128 ways.
+#[inline]
+pub fn find_way(row: &[u64], valid: u128, tag: u64) -> Option<usize> {
+    debug_assert!(row.len() <= 128);
+    let mut base = 0;
+    for chunk in row.chunks(64) {
+        if let Some(way) = lowest_way(match_mask(chunk, tag) & (valid >> base) as u64) {
+            return Some(base + way);
         }
-        (mask != 0).then(|| mask.trailing_zeros() as usize)
+        base += 64;
     }
-    match tags.len() {
-        2 => fixed::<2>(tags.try_into().expect("len matches"), tag),
-        4 => fixed::<4>(tags.try_into().expect("len matches"), tag),
-        6 => fixed::<6>(tags.try_into().expect("len matches"), tag),
-        8 => fixed::<8>(tags.try_into().expect("len matches"), tag),
-        12 => fixed::<12>(tags.try_into().expect("len matches"), tag),
-        16 => fixed::<16>(tags.try_into().expect("len matches"), tag),
-        24 => fixed::<24>(tags.try_into().expect("len matches"), tag),
-        _ => tags.iter().position(|&t| t == tag),
-    }
+    None
 }
 
 /// Batched read-only access loop, monomorphized per concrete policy via
 /// [`PolicyState::visit_concrete`] so the policy update inlines into the
 /// tag-scan loop.
 struct BatchAccess<'a> {
-    tags: &'a mut [u64],
+    tags: &'a mut TagArray,
     valid: &'a mut u128,
     dirty: &'a mut u128,
     stream: &'a [u64],
@@ -134,52 +165,28 @@ impl StateVisitor for BatchAccess<'_> {
 
     fn visit<P: ReplacementPolicy + ?Sized>(self, policy: &mut P) -> (u64, u64) {
         let assoc = self.tags.len();
-        let full: u128 = if assoc == 128 {
-            u128::MAX
-        } else {
-            (1u128 << assoc) - 1
-        };
         let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut rest = self.stream;
-        // Warm-up: invalid ways exist, so every lookup must test validity
-        // (stale tags survive invalidation) and fills target the lowest
-        // invalid way instead of a victim.
-        'warmup: while *self.valid != full {
-            let Some((&tag, tail)) = rest.split_first() else {
-                return (hits, misses);
-            };
-            rest = tail;
-            for way in 0..assoc {
-                if *self.valid & (1u128 << way) != 0 && self.tags[way] == tag {
-                    policy.on_hit(way);
-                    hits += 1;
-                    continue 'warmup;
-                }
-            }
-            let way = (!*self.valid).trailing_zeros() as usize;
-            self.tags[way] = tag;
-            *self.valid |= 1u128 << way;
-            *self.dirty &= !(1u128 << way);
-            policy.on_fill(way);
-            misses += 1;
-        }
-        // Steady state: every way is valid and stays valid, so the scan
-        // drops the validity test entirely and a miss goes straight to
-        // the policy's victim.
-        for &tag in rest {
-            if let Some(way) = find_way_full(self.tags, tag) {
+        for &tag in self.stream {
+            if let Some(way) = self.tags.find(*self.valid, tag) {
                 policy.on_hit(way);
                 hits += 1;
-            } else {
-                let way = policy.victim();
-                self.tags[way] = tag;
-                *self.dirty &= !(1u128 << way);
-                policy.on_fill(way);
-                misses += 1;
+                continue;
             }
+            // Fills target the lowest invalid way while one exists, and
+            // the policy's victim once the set is full.
+            let invalid = (!*self.valid).trailing_zeros() as usize;
+            let way = if invalid < assoc {
+                invalid
+            } else {
+                policy.victim()
+            };
+            let bit = 1u128 << way;
+            self.tags[way] = tag;
+            *self.valid |= bit;
+            *self.dirty &= !bit;
+            policy.on_fill(way);
         }
-        (hits, misses)
+        (hits, self.stream.len() as u64 - hits)
     }
 }
 
@@ -346,7 +353,7 @@ impl CacheSet {
             return counts;
         }
         policy.visit_concrete(BatchAccess {
-            tags: &mut *tags,
+            tags,
             valid,
             dirty,
             stream,
@@ -393,21 +400,13 @@ impl CacheSet {
     }
 
     /// The way holding `tag`, if resident.
+    ///
+    /// One masked lookup whatever the fill state: the tag row is
+    /// compared into a bitmask, ANDed with the validity bits and the
+    /// lowest way taken (see [`find_way`]).
     #[inline]
     pub fn way_of(&self, tag: u64) -> Option<usize> {
-        let assoc = self.tags.len();
-        let full: u128 = if assoc == 128 {
-            u128::MAX
-        } else {
-            (1u128 << assoc) - 1
-        };
-        // A full set (the steady state of every pure access stream) takes
-        // the branchless scan; only sets with invalid ways — warm-up, or
-        // after invalidation — must test validity tag by tag.
-        if self.valid == full {
-            return find_way_full(&self.tags, tag);
-        }
-        (0..assoc).find(|&w| self.valid & (1u128 << w) != 0 && self.tags[w] == tag)
+        self.tags.find(self.valid, tag)
     }
 
     /// Invalidate `tag` if resident; returns whether a line was dropped.
@@ -659,6 +658,63 @@ mod tests {
                 serial.policy().state_key(),
                 "kind {kind:?}"
             );
+        }
+    }
+
+    /// `way_of` against a scan over (`valid`, tags) after every step of
+    /// a seeded stream of accesses, installs, extracts, invalidations and
+    /// flushes, on inline (4, 8) and heap (16, 24, and 72 for a row of
+    /// two 64-way chunks) rows. An invalidated way keeps its stale tag,
+    /// which is probed again right away.
+    #[test]
+    fn way_of_agrees_with_reference_scan() {
+        fn reference(s: &CacheSet, tag: u64) -> Option<usize> {
+            (0..s.associativity()).find(|&w| s.valid & (1u128 << w) != 0 && s.tags[w] == tag)
+        }
+        for assoc in [4usize, 8, 16, 24, 72] {
+            let mut s = lru_set(assoc);
+            let mut rng = assoc as u64;
+            let universe = 2 * assoc as u64;
+            for step in 0..4000u32 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = rng >> 33;
+                let tag = r % universe;
+                match r % 11 {
+                    0..=5 => {
+                        s.access_rw(tag, r.is_multiple_of(3));
+                    }
+                    6 => {
+                        if !s.contains(tag) {
+                            s.install_tag(tag, false);
+                        }
+                    }
+                    7 => {
+                        s.extract(tag);
+                    }
+                    8 | 9 => {
+                        let way = (r / 16) as usize % assoc;
+                        if let Some(stale) = s.tag_in_way(way) {
+                            assert!(s.invalidate(stale));
+                            assert_eq!(s.tags[way], stale, "invalidation keeps the tag");
+                            assert_eq!(s.way_of(stale), None, "stale tag matched");
+                        }
+                    }
+                    _ => {
+                        if step.is_multiple_of(7) {
+                            s.flush();
+                        }
+                    }
+                }
+                for probe in 0..universe + 1 {
+                    assert_eq!(
+                        s.way_of(probe),
+                        reference(&s, probe),
+                        "{assoc} ways, step {step}, tag {probe}"
+                    );
+                }
+            }
         }
     }
 
