@@ -67,6 +67,16 @@ run cargo run --release -q -p cachekit-bench --bin fig12_attack -- --smoke
 # corruption matrix (typed errors, never panics).
 run cargo test -q --release --test hierarchy_containment --test trace_roundtrip
 
+# Serve robustness under a memory cap: requests at the 16 MiB capacity
+# cap must be answered from trace lengths or refused by their price, so
+# the server never builds a trace it cannot hold. Built outside the cap,
+# run under a 4 GB address-space limit, so a change that builds such a
+# trace again aborts here within seconds, whatever the host's memory
+# and overcommit setting.
+run cargo test -q --release --test serve_robustness --no-run
+echo "==> (ulimit -v 4000000; cargo test -q --release --test serve_robustness)"
+(ulimit -v 4000000 && cargo test -q --release --test serve_robustness)
+
 # Hierarchy-figure smoke: 3 containments x 3 LLC policies x 4
 # workloads through the three-level engine; the binary asserts its
 # per-cell sanity and mechanism targets (back-invalidations, victim

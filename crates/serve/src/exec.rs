@@ -183,15 +183,10 @@ fn run_simulate(req: &SimulateRequest) -> Json {
         Ok(c) => c,
         Err(e) => return error_body("simulate", format!("invalid geometry: {e}")),
     };
-    let suite = workloads::suite(req.capacity, req.line, req.seed);
-    let Some(workload) = suite.iter().find(|w| w.name == req.workload) else {
-        let names: Vec<&str> = suite.iter().map(|w| w.name).collect();
-        return error_body(
-            "simulate",
-            format!("unknown workload {:?}; available: {names:?}", req.workload),
-        );
+    let Some(workload) = workloads::generate(&req.workload, req.capacity, req.line, req.seed)
+    else {
+        return unknown_workload("simulate", &req.workload);
     };
-    let ops = io::with_writes(&workload.trace, req.writes, req.seed);
     // Engine auto-pick, most specialized first. Pure-read workloads on a
     // (policy, assoc) pair with a monomorphized batch kernel run through
     // `Cache::access_many` (SoA slab + SWAR probe). Otherwise deterministic
@@ -206,8 +201,8 @@ fn run_simulate(req: &SimulateRequest) -> Json {
     let (engine, kernel, stats) = if use_kernel {
         let mut cache = Cache::new(config, req.policy);
         let name = cache.batch_kernel();
-        let addrs: Vec<u64> = ops.iter().map(|op| op.addr).collect();
-        cache.access_many(&addrs);
+        // With no writes every operation is a read of the trace address.
+        cache.access_many(&workload.trace);
         ("kernel", name, cache.stats())
     } else {
         let (mut cache, engine) = match table_for_kind(req.policy, config.associativity()) {
@@ -227,7 +222,8 @@ fn run_simulate(req: &SimulateRequest) -> Json {
                 None => (Cache::new(config, req.policy), "enum"),
             },
         };
-        let stats = cache.run_ops(ops.iter().map(|op| (op.addr, op.write)));
+        let ops = io::with_writes_iter(workload.trace.iter().copied(), req.writes, req.seed);
+        let stats = cache.run_ops(ops.map(|op| (op.addr, op.write)));
         (engine, None, stats)
     };
     Json::object(vec![
@@ -310,19 +306,14 @@ fn run_simulate_hierarchy(req: &SimulateHierarchyRequest) -> Json {
         .last()
         .expect("levels validated non-empty")
         .capacity;
-    let suite = workloads::suite(outer_capacity, req.line, req.seed);
-    let Some(workload) = suite.iter().find(|w| w.name == req.workload) else {
-        let names: Vec<&str> = suite.iter().map(|w| w.name).collect();
-        return error_body(
-            "simulate_hierarchy",
-            format!("unknown workload {:?}; available: {names:?}", req.workload),
-        );
+    let Some(workload) = workloads::generate(&req.workload, outer_capacity, req.line, req.seed)
+    else {
+        return unknown_workload("simulate_hierarchy", &req.workload);
     };
-    let ops = io::with_writes(&workload.trace, req.writes, req.seed);
     let mut hierarchy = Hierarchy::from_caches(caches)
         .with_containment(req.containment)
         .with_latencies(req.latencies.clone(), req.memory_latency);
-    for op in &ops {
+    for op in io::with_writes_iter(workload.trace.iter().copied(), req.writes, req.seed) {
         hierarchy.access_op(op.addr, op.write);
     }
     let hstats = hierarchy.hierarchy_stats();
@@ -406,15 +397,32 @@ fn run_distances(req: &DistancesRequest) -> Json {
     ])
 }
 
+/// The cacheable answer to a simulate-family request naming a workload
+/// the suite does not have.
+fn unknown_workload(kind: &str, name: &str) -> Json {
+    error_body(
+        kind,
+        format!(
+            "unknown workload {name:?}; available: {:?}",
+            workloads::NAMES
+        ),
+    )
+}
+
+/// Lists the suite from trace lengths; no trace is built.
 fn run_workloads(req: &WorkloadsRequest) -> Json {
-    let suite = workloads::suite(req.capacity, req.line, req.seed);
-    let entries: Vec<Json> = suite
+    let entries: Vec<Json> = workloads::NAMES
         .iter()
-        .map(|w| {
+        .map(|&name| {
+            let known = "every suite name has a definition";
+            let accesses = workloads::len(name, req.capacity, req.line, req.seed).expect(known);
             Json::object(vec![
-                ("name", Json::from(w.name)),
-                ("description", Json::from(w.description)),
-                ("accesses", Json::from(w.trace.len())),
+                ("name", Json::from(name)),
+                (
+                    "description",
+                    Json::from(workloads::description(name).expect(known)),
+                ),
+                ("accesses", Json::from(accesses)),
             ])
         })
         .collect();
@@ -786,6 +794,40 @@ mod tests {
         let body = PipelineExecutor.execute(&req).to_compact();
         assert!(body.contains("\"ok\":false"), "body: {body}");
         assert!(body.contains("unknown workload"), "body: {body}");
+    }
+
+    #[test]
+    fn the_parse_time_price_never_under_counts_the_simulated_accesses() {
+        for workload in workloads::NAMES {
+            let flat = parse(&format!(
+                r#"{{"type":"simulate","policy":"PLRU","capacity":16384,"assoc":4,
+                    "workload":"{workload}","writes":0.1,"seed":5}}"#
+            ));
+            let Request::Simulate(req) = &flat else {
+                unreachable!()
+            };
+            let body = PipelineExecutor.execute(&flat);
+            let ran = body.get("accesses").and_then(Json::as_u64).unwrap();
+            assert!(ran <= req.price(), "{workload}: {ran} > {}", req.price());
+            let hier = parse(&format!(
+                r#"{{"type":"simulate_hierarchy","workload":"{workload}","seed":5,
+                    "containment":"exclusive","levels":[
+                    {{"policy":"LRU","capacity":4096,"assoc":4}},
+                    {{"policy":"FIFO","capacity":16384,"assoc":4}}]}}"#
+            ));
+            let Request::SimulateHierarchy(req) = &hier else {
+                unreachable!()
+            };
+            let body = PipelineExecutor.execute(&hier);
+            let Some(Json::Arr(levels)) = body.get("levels") else {
+                panic!("levels must be an array")
+            };
+            let ran: u64 = levels
+                .iter()
+                .map(|l| l.get("accesses").and_then(Json::as_u64).unwrap())
+                .sum();
+            assert!(ran <= req.price(), "{workload}: {ran} > {}", req.price());
+        }
     }
 
     #[test]

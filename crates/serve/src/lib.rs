@@ -74,7 +74,10 @@ pub mod sys;
 pub use cache::{CacheCounters, ResultCache};
 pub use cachekit_bench::json::Json;
 pub use exec::{Executor, PipelineExecutor};
-pub use proto::{Request, RequestError, MAX_ATTACK_ASSOC, MAX_ATTACK_ROUNDS, MAX_HIERARCHY_LEVELS};
+pub use proto::{
+    Request, RequestError, MAX_ATTACK_ASSOC, MAX_ATTACK_ROUNDS, MAX_HIERARCHY_LEVELS,
+    MAX_SIMULATE_ACCESSES,
+};
 pub use queue::{Admission, DrainReport, JobQueue};
 pub use reactor::{Completion, Outcome, ReactorPool, Service};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -20,10 +20,18 @@ use cachekit_core::attack::StealthScenario;
 use cachekit_core::infer::{engine_names, ConfigError, InferenceConfig, ReadoutSearch};
 use cachekit_policies::PolicyKind;
 use cachekit_sim::Containment;
+use cachekit_trace::workloads;
 
 /// Largest capacity (bytes) a `simulate` request may ask for; keeps one
 /// request's trace generation and simulation time bounded.
 pub const MAX_SIMULATE_CAPACITY: u64 = 16 * 1024 * 1024;
+
+/// Most simulated accesses a `simulate` or `simulate_hierarchy` request
+/// may cost: its workload's length bound times its level count (see
+/// [`SimulateRequest::price`]). Admits every workload at the capacity cap
+/// except `matmul`, which grows as capacity^1.5 and is admitted up to
+/// 512 KiB; caps one request's trace at 512 MiB.
+pub const MAX_SIMULATE_ACCESSES: u64 = 1 << 26;
 
 /// Deepest cache hierarchy a `simulate_hierarchy` request may describe.
 pub const MAX_HIERARCHY_LEVELS: usize = 4;
@@ -445,7 +453,7 @@ impl SimulateRequest {
         // protected segment below the associativity) — `build` would
         // panic inside a worker job otherwise.
         policy.validate_for_assoc(assoc).map_err(bad)?;
-        Ok(Self {
+        let parsed = Self {
             policy,
             capacity,
             assoc,
@@ -453,7 +461,16 @@ impl SimulateRequest {
             workload,
             writes,
             seed,
-        })
+        };
+        check_price(&parsed.workload, parsed.price())?;
+        Ok(parsed)
+    }
+
+    /// The accesses this request may simulate, from its workload's
+    /// O(1) length bound ([`workloads::max_len`]); 0 for a workload the
+    /// suite does not have, which executes to an error body.
+    pub fn price(&self) -> u64 {
+        workloads::max_len(&self.workload, self.capacity, self.line).unwrap_or(0)
     }
 
     fn to_json(&self) -> Json {
@@ -575,7 +592,7 @@ impl SimulateHierarchyRequest {
         if memory_latency == 0 {
             return Err(bad("field \"memory_latency\" must be at least 1 cycle"));
         }
-        Ok(Self {
+        let parsed = Self {
             levels,
             containment,
             line,
@@ -584,7 +601,20 @@ impl SimulateHierarchyRequest {
             seed,
             latencies,
             memory_latency,
-        })
+        };
+        check_price(&parsed.workload, parsed.price())?;
+        Ok(parsed)
+    }
+
+    /// The accesses this request may simulate: the length bound of its
+    /// workload, sized to the outermost level, times the level count,
+    /// since every access may reach every level. 0 for a workload the
+    /// suite does not have.
+    pub fn price(&self) -> u64 {
+        let outer = self.levels.last().expect("levels validated non-empty");
+        workloads::max_len(&self.workload, outer.capacity, self.line)
+            .unwrap_or(0)
+            .saturating_mul(self.levels.len() as u64)
     }
 
     fn to_json(&self) -> Json {
@@ -751,6 +781,18 @@ impl AttackScoreRequest {
     }
 }
 
+/// Refuse a simulate-family request priced over
+/// [`MAX_SIMULATE_ACCESSES`], naming the price and the budget.
+fn check_price(workload: &str, price: u64) -> Result<(), RequestError> {
+    if price > MAX_SIMULATE_ACCESSES {
+        return Err(bad(format!(
+            "workload {workload:?} prices at {price} simulated accesses, over the \
+             serving budget of {MAX_SIMULATE_ACCESSES}"
+        )));
+    }
+    Ok(())
+}
+
 /// 64-bit FNV-1a over `bytes` — the canonical-key hash of the result
 /// cache. Stable across platforms and runs (no per-process seeding), so
 /// keys can be logged and compared between sessions.
@@ -875,6 +917,51 @@ mod tests {
         ] {
             assert!(Request::parse(body).is_err(), "body {body:?} must fail");
         }
+    }
+
+    #[test]
+    fn simulate_family_requests_are_priced_against_the_access_budget() {
+        let simulate = |capacity: u64, workload: &str| {
+            Request::parse(&format!(
+                r#"{{"type":"simulate","policy":"LRU","capacity":{capacity},"assoc":8,
+                    "workload":"{workload}"}}"#
+            ))
+        };
+        // matmul at 512 KiB: 3 * 209^3 accesses, inside the budget.
+        let Ok(Request::Simulate(req)) = simulate(512 * 1024, "matmul") else {
+            panic!("512 KiB matmul must parse")
+        };
+        assert_eq!(req.price(), 27_387_987);
+        // At 1 MiB it is 3 * 295^3, over the budget.
+        let err = simulate(1024 * 1024, "matmul").unwrap_err().to_string();
+        assert!(err.contains("77017125"), "{err}");
+        assert!(err.contains(&MAX_SIMULATE_ACCESSES.to_string()), "{err}");
+        // Every other workload fits at the capacity cap; unknown names
+        // cost nothing here and execute to an error body.
+        for workload in ["scan_plus_hot", "gc_trace", "seq_stream", "nope"] {
+            assert!(
+                simulate(MAX_SIMULATE_CAPACITY, workload).is_ok(),
+                "{workload}"
+            );
+        }
+        // A hierarchy pays for its workload at every level.
+        let hierarchy = |levels: usize| {
+            let levels: Vec<String> = (0..levels)
+                .map(|i| format!(r#"{{"policy":"LRU","capacity":{},"assoc":8}}"#, 65536 << i))
+                .collect();
+            Request::parse(&format!(
+                r#"{{"type":"simulate_hierarchy","workload":"matmul","levels":[{}]}}"#,
+                levels.join(",")
+            ))
+        };
+        // Outermost 128 KiB: 3 * 104^3 per level.
+        let Ok(Request::SimulateHierarchy(req)) = hierarchy(2) else {
+            panic!("two-level hierarchy must parse")
+        };
+        assert_eq!(req.price(), 2 * 3_374_592);
+        // Outermost 512 KiB over four levels.
+        let err = hierarchy(4).unwrap_err().to_string();
+        assert!(err.contains("109551948"), "{err}");
     }
 
     #[test]

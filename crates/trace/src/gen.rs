@@ -189,28 +189,19 @@ pub fn gc_mark(num_objects: usize, avg_fields: usize, line: u64, seed: u64) -> V
     assert!(line > 0, "line size must be nonzero");
     let mut rng = Prng::seed_from_u64(seed);
 
-    // Out-edges: a spanning tree rooted at object 0, then random extras.
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); num_objects];
-    for child in 1..num_objects {
-        let parent = rng.gen_range(0..child as u64) as usize;
-        edges[parent].push(child);
-    }
-    for to in edges.iter_mut() {
-        for _ in 0..rng.gen_range(0..=2 * avg_fields as u64) {
-            to.push(rng.gen_range(0..num_objects as u64) as usize);
-        }
-    }
+    gc_graph(num_objects, avg_fields, &mut rng, |from, to| {
+        edges[from].push(to)
+    });
 
     // Fragmented placement: bump-allocate the objects in shuffled order.
-    // An object is a header line plus enough lines for its 8-byte refs.
-    let span = |fields: usize| 1 + (fields as u64 * 8).div_ceil(line);
     let mut order: Vec<usize> = (0..num_objects).collect();
     order.shuffle(&mut rng);
     let mut addr = vec![0u64; num_objects];
     let mut bump = 0u64;
     for &obj in &order {
         addr[obj] = bump;
-        bump += span(edges[obj].len()) * line;
+        bump += gc_span(edges[obj].len(), line) * line;
     }
     // The mark bitmap sits above the heap, one bit per object.
     let bitmap_base = bump;
@@ -226,12 +217,70 @@ pub fn gc_mark(num_objects: usize, avg_fields: usize, line: u64, seed: u64) -> V
             continue;
         }
         // Scan the object: header, then its field lines.
-        for k in 0..span(edges[obj].len()) {
+        for k in 0..gc_span(edges[obj].len(), line) {
             trace.push(addr[obj] + k * line);
         }
         worklist.extend(edges[obj].iter().rev());
     }
     trace
+}
+
+/// The length of [`gc_mark`]`(num_objects, avg_fields, line, seed)`,
+/// from its object graph alone: the mark phase pops the root and one
+/// worklist entry per edge (one bitmap access each) and scans every
+/// object once, since the spanning tree reaches them all. Costs the
+/// graph's random draws, not the walk or the trace.
+///
+/// # Panics
+///
+/// Panics if `num_objects` is 0 or `line` is 0.
+pub fn gc_mark_len(num_objects: usize, avg_fields: usize, line: u64, seed: u64) -> u64 {
+    assert!(num_objects > 0, "need at least one object");
+    assert!(line > 0, "line size must be nonzero");
+    let mut rng = Prng::seed_from_u64(seed);
+    let mut fields = vec![0usize; num_objects];
+    gc_graph(num_objects, avg_fields, &mut rng, |from, _| {
+        fields[from] += 1
+    });
+    let edges: usize = fields.iter().sum();
+    let scans: u64 = fields.iter().map(|&f| gc_span(f, line)).sum();
+    1 + edges as u64 + scans
+}
+
+/// An upper bound on [`gc_mark_len`] over every seed, in O(1). An
+/// object has at most `2 · avg_fields` extra edges besides its tree
+/// edges, and an object's field lines `⌈8f/line⌉` sum to at most
+/// `⌈8E/line⌉ + num_objects` over `E` edges.
+pub fn gc_mark_max_len(num_objects: usize, avg_fields: usize, line: u64) -> u64 {
+    let objects = num_objects as u64;
+    let edges = objects.saturating_sub(1) + 2 * avg_fields as u64 * objects;
+    1 + edges + objects + (8 * edges).div_ceil(line) + objects
+}
+
+/// The seeded object graph of [`gc_mark`]: a random spanning tree rooted
+/// at object 0, then `0..=2 · avg_fields` random extra references per
+/// object. Reports each edge to `edge(from, to)` in draw order.
+fn gc_graph(
+    num_objects: usize,
+    avg_fields: usize,
+    rng: &mut Prng,
+    mut edge: impl FnMut(usize, usize),
+) {
+    for child in 1..num_objects {
+        let parent = rng.gen_range(0..child as u64) as usize;
+        edge(parent, child);
+    }
+    for from in 0..num_objects {
+        for _ in 0..rng.gen_range(0..=2 * avg_fields as u64) {
+            edge(from, rng.gen_range(0..num_objects as u64) as usize);
+        }
+    }
+}
+
+/// Lines an object with `fields` references occupies: a header line
+/// plus enough lines for its 8-byte references.
+fn gc_span(fields: usize, line: u64) -> u64 {
+    1 + (fields as u64 * 8).div_ceil(line)
 }
 
 /// Uniform random accesses over `num_lines` blocks — the worst case for

@@ -198,21 +198,36 @@ fn parse_addr(s: &str) -> Result<u64, AddrParseIssue> {
 }
 
 /// Attach write markers to an address trace: each access becomes a write
-/// with probability `write_fraction` (seeded, reproducible).
+/// with probability `write_fraction` (seeded, reproducible). The
+/// collected form of [`with_writes_iter`].
 pub fn with_writes(addrs: &[u64], write_fraction: f64, seed: u64) -> Vec<MemOp> {
+    with_writes_iter(addrs.iter().copied(), write_fraction, seed).collect()
+}
+
+/// The streaming form of [`with_writes`]: marks each address as it is
+/// pulled, one draw from the seeded generator per address in order, so
+/// the operations are the ones `with_writes` returns without an
+/// operation vector being built. With `write_fraction == 0.0` every
+/// operation is a read.
+///
+/// # Panics
+///
+/// Panics if `write_fraction` is outside `[0, 1]`.
+pub fn with_writes_iter<I: IntoIterator<Item = u64>>(
+    addrs: I,
+    write_fraction: f64,
+    seed: u64,
+) -> impl Iterator<Item = MemOp> {
     use cachekit_policies::rng::Prng;
     assert!(
         (0.0..=1.0).contains(&write_fraction),
         "fraction out of range"
     );
     let mut rng = Prng::seed_from_u64(seed);
-    addrs
-        .iter()
-        .map(|&addr| MemOp {
-            addr,
-            write: rng.gen_bool(write_fraction),
-        })
-        .collect()
+    addrs.into_iter().map(move |addr| MemOp {
+        addr,
+        write: rng.gen_bool(write_fraction),
+    })
 }
 
 #[cfg(test)]

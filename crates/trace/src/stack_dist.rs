@@ -87,6 +87,16 @@ impl StackDistanceProfile {
     /// The generator keeps an explicit LRU stack: with the profile's
     /// probabilities it either reuses the block at a sampled depth or
     /// touches a brand-new block.
+    ///
+    /// The stack is the set of live access times, one per block on it
+    /// (the time it was last touched), in a Fenwick tree: the block at
+    /// depth `d` is the one whose time is the `(live − d)`-th smallest.
+    /// Finding, removing and pushing a block is O(log accesses), so the
+    /// whole trace costs O(accesses · log accesses) plus one binary
+    /// search per access over the profile. The draws from the seeded
+    /// generator and the stack order are those of a plain vector stack
+    /// with `remove(d)` and `insert(0, _)`, so the output is the same;
+    /// that vector costs O(depth) per access.
     pub fn generate(&self, accesses: usize, line: u64, seed: u64) -> Vec<u64> {
         let total: f64 = self.weights.iter().sum::<f64>() + self.cold_weight;
         let mut cdf = Vec::with_capacity(self.weights.len());
@@ -96,13 +106,19 @@ impl StackDistanceProfile {
             cdf.push(acc);
         }
         let mut rng = Prng::seed_from_u64(seed);
-        let mut stack: Vec<u64> = Vec::new();
+        let mut stack = LiveTimes::new(accesses);
         let mut next_block = 0u64;
+        // Blocks by access time while generating; scaled to byte
+        // addresses at the end.
         let mut trace = Vec::with_capacity(accesses);
-        for _ in 0..accesses {
+        for now in 0..accesses {
             let u = rng.gen::<f64>() * total;
             let block = match cdf.partition_point(|&c| c < u) {
-                d if d < self.weights.len() && d < stack.len() => stack.remove(d),
+                d if d < self.weights.len() && d < stack.live => {
+                    let last = stack.at_depth(d);
+                    stack.remove(last);
+                    trace[last]
+                }
                 _ => {
                     // Cold touch (or a distance deeper than the current
                     // stack, which is equivalent at this point).
@@ -111,39 +127,115 @@ impl StackDistanceProfile {
                     b
                 }
             };
-            stack.insert(0, block);
-            trace.push(block * line);
+            stack.insert(now);
+            trace.push(block);
+        }
+        for addr in &mut trace {
+            *addr *= line;
         }
         trace
+    }
+}
+
+/// An LRU stack kept as the set of live access times: each block on the
+/// stack is represented by the time it was last touched, so the most
+/// recent block has the largest time. The set is a Fenwick
+/// (binary-indexed) tree of 0/1 counts over times `0..capacity`, which
+/// answers rank and select in O(log capacity).
+struct LiveTimes {
+    /// 1-based Fenwick array: `tree[i]` counts the live times in
+    /// `(i − lowbit(i), i]`, time `t` sitting at index `t + 1`.
+    tree: Vec<u32>,
+    /// Number of blocks on the stack.
+    live: usize,
+}
+
+impl LiveTimes {
+    fn new(capacity: usize) -> Self {
+        Self {
+            tree: vec![0; capacity + 1],
+            live: 0,
+        }
+    }
+
+    fn insert(&mut self, time: usize) {
+        self.live += 1;
+        let mut i = time + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    fn remove(&mut self, time: usize) {
+        self.live -= 1;
+        let mut i = time + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Stack depth (0 = most recent) of the live time `time`: the number
+    /// of live times after it.
+    fn depth_of(&self, time: usize) -> usize {
+        let mut at_or_before = 0;
+        let mut i = time + 1;
+        while i > 0 {
+            at_or_before += self.tree[i] as usize;
+            i &= i - 1;
+        }
+        self.live - at_or_before
+    }
+
+    /// The live time at stack depth `depth < live`: the
+    /// `(live − depth)`-th smallest, found by descending the tree.
+    fn at_depth(&self, depth: usize) -> usize {
+        let mut rank = self.live - depth;
+        let mut pos = 0;
+        let mut step = (self.tree.len() - 1).checked_ilog2().map_or(0, |b| 1 << b);
+        while step > 0 {
+            let next = pos + step;
+            if next < self.tree.len() && (self.tree[next] as usize) < rank {
+                pos = next;
+                rank -= self.tree[next] as usize;
+            }
+            step >>= 1;
+        }
+        // `pos + 1` is the 1-based index of the time sought.
+        pos
     }
 }
 
 /// Measure the stack-distance histogram of `trace` (line-granular with
 /// `line`-byte blocks). Returns the histogram over distances `0..` and the
 /// number of cold (first-touch) accesses.
+///
+/// Each block's last access time is kept in a map and the live times in
+/// the same Fenwick-tree stack [`StackDistanceProfile::generate`] uses,
+/// so an access costs O(log n) for a trace of `n` accesses instead of a
+/// scan and shift of a vector stack; the distance of a reuse is the
+/// number of live times after the block's last one, which is its depth
+/// in that vector.
 pub fn measure(trace: &[u64], line: u64) -> (Vec<u64>, u64) {
     assert!(line > 0, "line size must be nonzero");
-    let mut stack: Vec<u64> = Vec::new();
-    let mut index: HashMap<u64, ()> = HashMap::new();
+    let mut stack = LiveTimes::new(trace.len());
+    let mut last_touch: HashMap<u64, usize> = HashMap::new();
     let mut hist: Vec<u64> = Vec::new();
     let mut cold = 0u64;
-    for &addr in trace {
-        let block = addr / line;
-        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(block) {
-            cold += 1;
-            e.insert(());
-        } else {
-            let d = stack
-                .iter()
-                .position(|&b| b == block)
-                .expect("indexed blocks are on the stack");
-            if hist.len() <= d {
-                hist.resize(d + 1, 0);
+    for (now, &addr) in trace.iter().enumerate() {
+        match last_touch.insert(addr / line, now) {
+            None => cold += 1,
+            Some(last) => {
+                let d = stack.depth_of(last);
+                if hist.len() <= d {
+                    hist.resize(d + 1, 0);
+                }
+                hist[d] += 1;
+                stack.remove(last);
             }
-            hist[d] += 1;
-            stack.remove(d);
         }
-        stack.insert(0, block);
+        stack.insert(now);
     }
     (hist, cold)
 }

@@ -170,10 +170,11 @@ fn resolve_ops(flags: &HashMap<String, String>, capacity: u64) -> Result<Vec<io:
     if let Some(path) = flags.get("trace") {
         read_trace_any(path)
     } else if let Some(wname) = flags.get("workload") {
-        let suite = workloads::suite(capacity, line, seed);
-        let w = suite.iter().find(|w| w.name == wname).ok_or_else(|| {
-            let names: Vec<_> = suite.iter().map(|w| w.name).collect();
-            format!("unknown workload {wname:?}; available: {names:?}")
+        let w = workloads::generate(wname, capacity, line, seed).ok_or_else(|| {
+            format!(
+                "unknown workload {wname:?}; available: {:?}",
+                workloads::NAMES
+            )
         })?;
         let fraction = flags
             .get("writes")
@@ -628,15 +629,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_workloads(args: &[String]) -> Result<(), String> {
+    const KNOWN: &str = "every suite name has a definition";
     let (_, flags) = parse(args)?;
     let capacity = parse_u64(&flags, "capacity", None)?;
     let line = parse_u64(&flags, "line", Some(64))?;
     let seed = parse_u64(&flags, "seed", Some(7))?;
-    let suite = workloads::suite(capacity, line, seed);
     match flags.get("out") {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-            for w in &suite {
+            for name in workloads::NAMES {
+                let w = workloads::generate(name, capacity, line, seed).expect(KNOWN);
                 let path = format!("{dir}/{}.trace", w.name);
                 let ops: Vec<io::MemOp> = w.trace.iter().map(|&a| io::MemOp::read(a)).collect();
                 let mut file = std::io::BufWriter::new(
@@ -648,8 +650,10 @@ fn cmd_workloads(args: &[String]) -> Result<(), String> {
         }
         None => {
             println!("{:<14} {:>10}  description", "workload", "accesses");
-            for w in &suite {
-                println!("{:<14} {:>10}  {}", w.name, w.trace.len(), w.description);
+            for name in workloads::NAMES {
+                let accesses = workloads::len(name, capacity, line, seed).expect(KNOWN);
+                let description = workloads::description(name).expect(KNOWN);
+                println!("{name:<14} {accesses:>10}  {description}");
             }
         }
     }
