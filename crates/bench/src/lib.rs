@@ -1,8 +1,7 @@
 //! # cachekit-bench
 //!
 //! The experiment harness: one binary per table/figure of the
-//! reproduction (see `DESIGN.md` for the index), plus std-only
-//! microbenchmarks under `benches/`.
+//! reproduction (see `DESIGN.md` for the index).
 //!
 //! Every binary prints a markdown table to stdout and drops a
 //! machine-readable JSON record under `results/` so that
@@ -18,7 +17,6 @@ pub mod access;
 pub mod exec;
 pub mod json;
 pub mod metrics;
-pub mod microbench;
 
 use json::Json;
 use std::collections::BTreeMap;

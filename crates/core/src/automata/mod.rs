@@ -2,7 +2,7 @@
 //! behaviour as an explicit Mealy machine instead of a permutation
 //! vector.
 //!
-//! The permutation pipeline ([`infer_policy`](crate::infer::infer_policy))
+//! The permutation pipeline ([`PermutationEngine`](crate::infer::PermutationEngine))
 //! is fast but only models *permutation policies* — policies whose state
 //! is a total order over the ways. Many documented Intel policies are
 //! outside that class (NRU, CLOCK, bit-PLRU, the QLRU family). This

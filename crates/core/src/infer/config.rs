@@ -54,9 +54,9 @@ pub struct InferenceConfig {
     pub repetitions: usize,
     /// Ceiling the adaptive retry engine may escalate the per-query
     /// repetition count to (doubling on disagreement). Equal to
-    /// `repetitions` disables escalation. Only the robust entry points
-    /// ([`infer_policy_robust`](crate::infer::infer_policy_robust))
-    /// escalate; the classic pipeline always uses `repetitions`.
+    /// `repetitions` disables escalation. Only the budgeted engines
+    /// ([`PermutationEngine::budgeted`](crate::infer::PermutationEngine::budgeted))
+    /// escalate; the strict pipeline always uses `repetitions`.
     pub max_repetitions: usize,
     /// Hard ceiling on raw oracle attempts for one robust campaign;
     /// `None` = unlimited. When the budget runs dry the campaign
@@ -404,7 +404,7 @@ pub enum InferenceError {
     },
     /// The campaign's measurement budget ran dry before the pipeline
     /// finished; the accompanying
-    /// [`InferenceResult`](crate::infer::InferenceResult) carries
+    /// [`InferenceReport`](crate::infer::InferenceReport) carries
     /// whatever partial evidence was gathered (`degraded: true`).
     BudgetExhausted {
         /// Raw oracle attempts spent.

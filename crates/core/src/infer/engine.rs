@@ -43,8 +43,7 @@
 
 use crate::automata::{infer_automaton_metered, AutomataConfig, AutomatonReport};
 use crate::infer::oracle::CacheOracle;
-use crate::infer::policy::PolicyReport;
-use crate::infer::robust::InferenceResult;
+use crate::infer::policy::{self, Budgeted, PolicyReport, Strict};
 use crate::infer::{Geometry, InferenceConfig, InferenceError};
 
 /// Everything an engine needs to run one inference campaign: the
@@ -192,17 +191,17 @@ pub struct PermutationEngine {
 }
 
 impl PermutationEngine {
-    /// The budgeted, fault-tolerant serving variant
-    /// ([`infer_policy_robust`](crate::infer::infer_policy_robust)
-    /// semantics): degraded partial reports instead of unbounded
+    /// The budgeted, fault-tolerant serving variant: adaptive voting
+    /// against the request's measurement budget, with transient faults
+    /// absorbed and a degraded partial report instead of unbounded
     /// spending. This is the default.
     pub fn budgeted() -> Self {
         Self { strict: false }
     }
 
-    /// The classic fail-fast variant
-    /// ([`infer_policy`](crate::infer::infer_policy) semantics): no
-    /// budget accounting, first inconsistency aborts.
+    /// The classic fail-fast variant: a fixed median vote per query, no
+    /// budget accounting (`measurements_used` is 0 and confidence is 1.0
+    /// for a report, 0.0 for an error).
     pub fn strict() -> Self {
         Self { strict: true }
     }
@@ -214,48 +213,11 @@ impl InferenceEngine for PermutationEngine {
     }
 
     fn infer(&self, oracle: &mut dyn CacheOracle, request: &InferenceRequest) -> InferenceReport {
-        #[allow(deprecated)]
         if self.strict {
-            let outcome = crate::infer::policy::infer_policy(
-                &mut &mut *oracle,
-                &request.geometry,
-                &request.config,
-            );
-            let ok = outcome.is_ok();
-            InferenceReport {
-                engine: self.name(),
-                outcome: outcome.map(Finding::Permutation),
-                degraded: false,
-                confidence: if ok { 1.0 } else { 0.0 },
-                position_confidences: Vec::new(),
-                measurements_used: 0,
-                measurement_budget: None,
-                timeouts: 0,
-                dropped: 0,
-            }
+            policy::run(self.name(), oracle, request, Strict::new(&request.config))
         } else {
-            let result = crate::infer::robust::infer_policy_robust(
-                &mut &mut *oracle,
-                &request.geometry,
-                &request.config,
-            );
-            report_from_robust(self.name(), result)
+            policy::run(self.name(), oracle, request, Budgeted::new(&request.config))
         }
-    }
-}
-
-/// Map the robust pipeline's result shape onto the unified report.
-fn report_from_robust(engine: &'static str, result: InferenceResult) -> InferenceReport {
-    InferenceReport {
-        engine,
-        outcome: result.outcome.map(Finding::Permutation),
-        degraded: result.degraded,
-        confidence: result.confidence,
-        position_confidences: result.position_confidences,
-        measurements_used: result.measurements_used,
-        measurement_budget: result.measurement_budget,
-        timeouts: result.timeouts,
-        dropped: result.dropped,
     }
 }
 

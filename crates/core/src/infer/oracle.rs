@@ -367,20 +367,6 @@ impl<O: CacheOracle> CacheOracle for MeteredOracle<O> {
     }
 }
 
-/// Former name of [`Counted`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `oracle.layer(Counting)` or `Counted` instead"
-)]
-pub type CountingOracle<O> = Counted<O>;
-
-/// Former name of [`Recorded`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `oracle.layer(Recording)` or `Recorded` instead"
-)]
-pub type RecordingOracle<O> = Recorded<O>;
-
 /// Take the median of `repetitions` measurements of the same experiment —
 /// the voting primitive that makes the pipeline robust to sporadic
 /// counter noise. Thin wrapper over [`VotePlan`].
@@ -404,7 +390,7 @@ pub fn measure_voted<O: CacheOracle>(
 /// true hit, so the fraction reported as misses is the false-miss rate.
 /// The calibration the geometry and validation steps subtract this floor;
 /// on a clean channel it returns exactly 0.
-pub fn estimate_counter_noise<O: CacheOracle>(oracle: &mut O, samples: usize) -> f64 {
+pub fn estimate_counter_noise<O: CacheOracle + ?Sized>(oracle: &mut O, samples: usize) -> f64 {
     assert!(samples >= 1, "need at least one sample");
     let _span = cachekit_obs::span("estimate_noise");
     let addr = 0u64;
@@ -481,17 +467,6 @@ mod tests {
         assert_eq!(o.inner().inner().measurements(), 1);
         let counted = o.into_inner().into_inner();
         assert_eq!(counted.accesses(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_name_the_same_types() {
-        let mut c: CountingOracle<SimOracle> = CountingOracle::new(oracle());
-        c.measure(&[], &[0]);
-        assert_eq!(c.measurements(), 1);
-        let mut r: RecordingOracle<SimOracle> = RecordingOracle::new(oracle());
-        r.measure(&[], &[0]);
-        assert_eq!(r.records().len(), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The voting primitive shared by every measurement site, and the
 //! adaptive retry engine built on top of it.
 //!
-//! Both the serial helpers (`measure_voted`) and the parallel campaign
-//! layer ([`Measurement`](crate::infer::Measurement)) used to carry
-//! their own copy of the repeat-and-take-the-median logic; [`VotePlan`]
-//! is the single implementation both now delegate to. It is also the
-//! funnel through which every pipeline oracle query flows, so it is
+//! [`VotePlan`] is the single repeat-and-take-the-median implementation
+//! that `measure_voted` and both permutation-pipeline voters delegate
+//! to. It is also the funnel through which every pipeline oracle query
+//! flows, so it is
 //! where the observability counters (`oracle.measurements`,
 //! `oracle.accesses`, `oracle.votes_discarded`, `oracle.timeouts`,
 //! `oracle.escalations`) are incremented — attributed to whatever phase
@@ -240,7 +239,12 @@ impl VotePlan {
     ///
     /// This is the fixed-cost path: adaptive escalation, fault retries
     /// and budgets live in [`measure_budgeted`](Self::measure_budgeted).
-    pub fn measure<O: CacheOracle>(&self, oracle: &mut O, warmup: &[u64], probe: &[u64]) -> usize {
+    pub fn measure<O: CacheOracle + ?Sized>(
+        &self,
+        oracle: &mut O,
+        warmup: &[u64],
+        probe: &[u64],
+    ) -> usize {
         let reps = self.repetitions;
         cachekit_obs::add("oracle.measurements", reps as u64);
         cachekit_obs::add(
@@ -267,7 +271,7 @@ impl VotePlan {
     /// agreement score and the fault accounting. The engine never
     /// panics on a dry budget — it reports `exhausted` and the best
     /// median it has.
-    pub fn measure_budgeted<O: CacheOracle>(
+    pub fn measure_budgeted<O: CacheOracle + ?Sized>(
         &self,
         oracle: &mut O,
         warmup: &[u64],

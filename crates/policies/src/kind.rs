@@ -3,7 +3,7 @@
 use crate::rng::mix64;
 use crate::{
     Bip, BitPlru, Brrip, Clock, Fifo, LazyLru, Lip, Lru, Nru, PolicyState, Qlru, RandomPolicy,
-    ReplacementPolicy, Slru, Srrip, TreePlru,
+    Slru, Srrip, TreePlru,
 };
 
 /// A constructible replacement-policy identity.
@@ -115,27 +115,10 @@ impl PolicyKind {
         }
     }
 
-    /// Build a boxed policy instance for a set with `assoc` ways.
-    ///
-    /// Compatibility shim over [`build_state`](Self::build_state): the box
-    /// now holds the enum, so behaviour is bit-identical to the inline
-    /// engine, but every access pays an indirection. Prefer
-    /// `build_state`, boxing the result yourself where a trait object is
-    /// genuinely needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc` is 0 or greater than 128, or if a kind-specific
-    /// parameter is invalid (zero throttle, RRPV width outside `1..=7`).
-    #[deprecated(note = "use `build_state` (box the result if a trait object is needed)")]
-    pub fn build(self, assoc: usize, salt: u64) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.build_state(assoc, salt))
-    }
-
     /// Check the kind's parameters against an associativity without
     /// building, returning a client-reportable message on mismatch.
     ///
-    /// [`build`](Self::build) asserts these same constraints; callers
+    /// [`build_state`](Self::build_state) asserts these same constraints; callers
     /// that construct policies from untrusted input (the serving
     /// protocol, config files) should validate here first so a bad
     /// request is an error, not a panic.
@@ -156,7 +139,7 @@ impl PolicyKind {
     }
 
     /// Display name of the kind (matches the built policy's
-    /// [`name`](ReplacementPolicy::name) for the default parameters).
+    /// [`name`](crate::ReplacementPolicy::name) for the default parameters).
     pub fn label(self) -> String {
         match self {
             PolicyKind::Lru => "LRU".into(),
@@ -302,6 +285,7 @@ impl PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplacementPolicy;
 
     #[test]
     fn build_produces_matching_names() {
@@ -327,26 +311,6 @@ mod tests {
         let va: Vec<usize> = (0..32).map(|_| a.victim()).collect();
         let vb: Vec<usize> = (0..32).map(|_| b.victim()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn boxed_shim_replays_the_enum_engine() {
-        for kind in PolicyKind::differential_kinds() {
-            let mut boxed = kind.build(8, 5);
-            let mut state = kind.build_state(8, 5);
-            for w in [0usize, 3, 1, 7, 3, 0, 6] {
-                boxed.on_fill(w);
-                state.on_fill(w);
-            }
-            for _ in 0..16 {
-                let (vb, vs) = (boxed.victim(), state.victim());
-                assert_eq!(vb, vs, "kind {kind:?}");
-                boxed.on_fill(vb);
-                state.on_fill(vs);
-            }
-            assert_eq!(boxed.state_key(), state.state_key(), "kind {kind:?}");
-        }
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! per access — every `on_hit`/`victim`/`on_fill` is a direct `match`
 //! that the compiler can inline into the access loop.
 //!
-//! The old `Box<dyn ReplacementPolicy>` API remains available as a thin
-//! compatibility shim: `PolicyState` itself implements
-//! [`ReplacementPolicy`], so boxing a `PolicyState` recovers a trait
-//! object with identical behaviour.
+//! `PolicyState` itself implements [`ReplacementPolicy`], so boxing one
+//! gives a trait object with identical behaviour where one is needed.
 
 use crate::{
     Bip, BitPlru, Clock, Fifo, LazyLru, Lip, Lru, Nru, Qlru, RandomPolicy, ReplacementPolicy, Slru,
@@ -22,10 +20,9 @@ use crate::{Brrip, Srrip};
 /// Replacement state of one cache set, dispatched by `match` instead of
 /// through a vtable.
 ///
-/// Construct it with [`PolicyKind::build_state`](crate::PolicyKind::build_state)
-/// (the enum sibling of the deprecated `build`), via the `From`
-/// conversions from the concrete policy types, or wrap an arbitrary
-/// boxed policy with [`from_boxed`](Self::from_boxed).
+/// Construct it with [`PolicyKind::build_state`](crate::PolicyKind::build_state),
+/// via the `From` conversions from the concrete policy types, or wrap an
+/// arbitrary boxed policy with [`from_boxed`](Self::from_boxed).
 ///
 /// All trait methods behave bit-identically to the wrapped concrete
 /// policy; `tests/engine_differential.rs` enforces this for every
@@ -244,12 +241,6 @@ impl From<Brrip> for PolicyState {
 impl From<RandomPolicy> for PolicyState {
     fn from(p: RandomPolicy) -> Self {
         PolicyState::Random(Box::new(p))
-    }
-}
-
-impl From<Box<dyn ReplacementPolicy>> for PolicyState {
-    fn from(p: Box<dyn ReplacementPolicy>) -> Self {
-        PolicyState::from_boxed(p)
     }
 }
 

@@ -76,7 +76,7 @@ pub use cachekit_bench::json::Json;
 pub use exec::{Executor, PipelineExecutor};
 pub use proto::{
     Request, RequestError, MAX_ATTACK_ASSOC, MAX_ATTACK_ROUNDS, MAX_HIERARCHY_LEVELS,
-    MAX_SIMULATE_ACCESSES,
+    MAX_SIMULATE_ACCESSES, MAX_SIMULATE_LINES,
 };
 pub use queue::{Admission, DrainReport, JobQueue};
 pub use reactor::{Completion, Outcome, ReactorPool, Service};

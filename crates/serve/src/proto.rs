@@ -22,8 +22,9 @@ use cachekit_policies::PolicyKind;
 use cachekit_sim::Containment;
 use cachekit_trace::workloads;
 
-/// Largest capacity (bytes) a `simulate` request may ask for; keeps one
-/// request's trace generation and simulation time bounded.
+/// Largest capacity (bytes) a `simulate` request, or any level of a
+/// `simulate_hierarchy` request, may ask for; keeps one request's trace
+/// generation and simulation time bounded.
 pub const MAX_SIMULATE_CAPACITY: u64 = 16 * 1024 * 1024;
 
 /// Most simulated accesses a `simulate` or `simulate_hierarchy` request
@@ -32,6 +33,15 @@ pub const MAX_SIMULATE_CAPACITY: u64 = 16 * 1024 * 1024;
 /// except `matmul`, which grows as capacity^1.5 and is admitted up to
 /// 512 KiB; caps one request's trace at 512 MiB.
 pub const MAX_SIMULATE_ACCESSES: u64 = 1 << 26;
+
+/// Most cache lines (`capacity / line`) a `simulate`, `simulate_hierarchy`
+/// (every level) or `workloads` request may size its workloads or
+/// caches for. Several generators build tables over a few times that
+/// many lines (`zipf_hot`'s CDF and placement, `ptr_chase`,
+/// `phase_switch`, `stack_geo`, `gc_trace`'s object graph), which the
+/// access price does not count; this bounds them at about 64 MiB. 16 MiB
+/// at 64-byte lines is 2^18 lines.
+pub const MAX_SIMULATE_LINES: u64 = 1 << 20;
 
 /// Deepest cache hierarchy a `simulate_hierarchy` request may describe.
 pub const MAX_HIERARCHY_LEVELS: usize = 4;
@@ -449,6 +459,7 @@ impl SimulateRequest {
         if capacity / line < 16 {
             return Err(bad("capacity must hold at least 16 lines"));
         }
+        check_lines(capacity, line)?;
         // Policy parameters must fit the geometry (e.g. an SLRU
         // protected segment below the associativity) — `build` would
         // panic inside a worker job otherwise.
@@ -522,6 +533,16 @@ impl SimulateHierarchyRequest {
             policy
                 .validate_for_assoc(assoc)
                 .map_err(|e| bad(format!("level {i}: {e}")))?;
+            // Every level allocates its sets up front, and containment
+            // other than inclusive lets an inner level outgrow the
+            // outermost one, so each level obeys both caps.
+            if capacity > MAX_SIMULATE_CAPACITY {
+                return Err(bad(format!(
+                    "level {i}: capacity {capacity} exceeds the serving cap of \
+                     {MAX_SIMULATE_CAPACITY} bytes"
+                )));
+            }
+            check_lines(capacity, line).map_err(|e| bad(format!("level {i}: {e}")))?;
             levels.push(HierarchyLevel {
                 policy,
                 capacity,
@@ -529,12 +550,6 @@ impl SimulateHierarchyRequest {
             });
         }
         let outer = levels.last().expect("levels is non-empty");
-        if outer.capacity > MAX_SIMULATE_CAPACITY {
-            return Err(bad(format!(
-                "outermost capacity {} exceeds the serving cap of {MAX_SIMULATE_CAPACITY} bytes",
-                outer.capacity
-            )));
-        }
         if outer.capacity / line < 16 {
             return Err(bad("outermost capacity must hold at least 16 lines"));
         }
@@ -686,6 +701,7 @@ impl WorkloadsRequest {
         if capacity / line < 16 {
             return Err(bad("capacity must hold at least 16 lines"));
         }
+        check_lines(capacity, line)?;
         let seed = field_u64(obj, "seed", 7)?;
         Ok(Self {
             capacity,
@@ -779,6 +795,19 @@ impl AttackScoreRequest {
             ("seed", Json::from(self.seed)),
         ])
     }
+}
+
+/// Refuse a request whose workloads would be sized for more than
+/// [`MAX_SIMULATE_LINES`] lines, naming the line count and the cap.
+fn check_lines(capacity: u64, line: u64) -> Result<(), RequestError> {
+    let lines = capacity / line;
+    if lines > MAX_SIMULATE_LINES {
+        return Err(bad(format!(
+            "capacity {capacity} at line size {line} is {lines} lines, over the \
+             serving cap of {MAX_SIMULATE_LINES} lines"
+        )));
+    }
+    Ok(())
 }
 
 /// Refuse a simulate-family request priced over
@@ -962,6 +991,42 @@ mod tests {
         // Outermost 512 KiB over four levels.
         let err = hierarchy(4).unwrap_err().to_string();
         assert!(err.contains("109551948"), "{err}");
+    }
+
+    #[test]
+    fn workload_sizing_is_capped_at_a_million_lines() {
+        // 2^20 lines parse; 2^21 are refused by every request type that
+        // sizes workloads or caches, with the line count and the cap in
+        // the error. A non-inclusive hierarchy's inner level may outgrow
+        // the outermost one, so it is capped too.
+        let at = |lines: u64| {
+            let capacity = lines * 8;
+            [
+                format!(
+                    r#"{{"type":"simulate","policy":"LRU","capacity":{capacity},"assoc":8,
+                        "line":8,"workload":"zipf_hot"}}"#
+                ),
+                format!(
+                    r#"{{"type":"simulate_hierarchy","workload":"zipf_hot","line":8,"levels":[
+                        {{"policy":"LRU","capacity":4096,"assoc":8}},
+                        {{"policy":"LRU","capacity":{capacity},"assoc":8}}]}}"#
+                ),
+                format!(
+                    r#"{{"type":"simulate_hierarchy","workload":"zipf_hot","line":8,"levels":[
+                        {{"policy":"LRU","capacity":{capacity},"assoc":8}},
+                        {{"policy":"LRU","capacity":4096,"assoc":8}}]}}"#
+                ),
+                format!(r#"{{"type":"workloads","capacity":{capacity},"line":8}}"#),
+            ]
+        };
+        for body in at(MAX_SIMULATE_LINES) {
+            assert!(Request::parse(&body).is_ok(), "{body}");
+        }
+        for body in at(2 * MAX_SIMULATE_LINES) {
+            let err = Request::parse(&body).unwrap_err().to_string();
+            assert!(err.contains("2097152 lines"), "{err}");
+            assert!(err.contains(&MAX_SIMULATE_LINES.to_string()), "{err}");
+        }
     }
 
     #[test]

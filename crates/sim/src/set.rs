@@ -214,19 +214,6 @@ impl CacheSet {
         }
     }
 
-    /// Create a set using the given boxed policy instance.
-    ///
-    /// Compatibility shim: the box is wrapped in
-    /// [`PolicyState::from_boxed`] and keeps its dynamic-dispatch cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's associativity is zero or above 128.
-    #[deprecated(note = "use `from_state` (`PolicyState::from_boxed` wraps a boxed policy)")]
-    pub fn new(policy: Box<dyn ReplacementPolicy>) -> Self {
-        Self::from_state(PolicyState::from_boxed(policy))
-    }
-
     /// Number of ways.
     pub fn associativity(&self) -> usize {
         self.tags.len()
@@ -618,21 +605,6 @@ mod tests {
         s.access(5);
         assert_eq!(s.force_evict(0), Some(5));
         assert_eq!(s.force_evict(0), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn boxed_constructor_still_works() {
-        let mut s = CacheSet::new(Box::new(Lru::new(2)));
-        s.access(1);
-        s.access(2);
-        assert!(matches!(
-            s.access(3),
-            SetOutcome::Miss {
-                evicted: Some(1),
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -4,3 +4,21 @@
 #![allow(dead_code)]
 
 pub mod shrink;
+
+use cachekit::core::infer::{
+    CacheOracle, Geometry, InferenceConfig, InferenceEngine, InferenceError, InferenceRequest,
+    PermutationEngine, PolicyReport,
+};
+
+/// The strict permutation engine's verdict on `oracle` at `geometry`.
+pub fn strict_policy(
+    oracle: &mut dyn CacheOracle,
+    geometry: &Geometry,
+    config: &InferenceConfig,
+) -> Result<PolicyReport, InferenceError> {
+    let request = InferenceRequest::new(*geometry, config.clone());
+    let report = PermutationEngine::strict().infer(oracle, &request);
+    report
+        .outcome
+        .map(|found| found.permutation().expect("a permutation finding").clone())
+}

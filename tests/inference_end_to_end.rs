@@ -1,17 +1,16 @@
 //! End-to-end reverse engineering against the virtual hardware: from a
 //! black-box oracle to geometry and policy, exactly the paper's pipeline.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
+mod common;
 
-use cachekit::core::infer::{infer_geometry, infer_policy, InferenceConfig, InferenceError};
+use cachekit::core::infer::{
+    infer_geometry, InferenceConfig, InferenceEngine, InferenceError, InferenceRequest,
+    PermutationEngine, SimOracle,
+};
 use cachekit::hw::{fleet, CacheLevel, LevelOracle, MeasureMode, VirtualCpu};
 use cachekit::policies::PolicyKind;
-use cachekit::sim::CacheConfig;
+use cachekit::sim::{Cache, CacheConfig};
+use common::strict_policy;
 
 fn infer_level(
     cpu: &mut VirtualCpu,
@@ -20,7 +19,7 @@ fn infer_level(
     let mut oracle = LevelOracle::new(cpu, level);
     let config = InferenceConfig::default();
     let geometry = infer_geometry(&mut oracle, &config)?;
-    let report = infer_policy(&mut oracle, &geometry, &config)?;
+    let report = strict_policy(&mut oracle, &geometry, &config)?;
     Ok((geometry, report.matched))
 }
 
@@ -90,7 +89,7 @@ fn random_l2_is_rejected() {
     let config = InferenceConfig::default();
     let geometry = infer_geometry(&mut oracle, &config).unwrap();
     assert_eq!(geometry.capacity, 64 * 1024);
-    let err = infer_policy(&mut oracle, &geometry, &config).unwrap_err();
+    let err = strict_policy(&mut oracle, &geometry, &config).unwrap_err();
     match err {
         InferenceError::InconsistentReadout(_)
         | InferenceError::NotAPermutationPolicy { .. }
@@ -106,11 +105,41 @@ fn timing_mode_agrees_with_perf_counters() {
     let (g_timing, matched_timing) = {
         let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L1).with_mode(MeasureMode::Timing);
         let g = infer_geometry(&mut oracle, &config).unwrap();
-        let r = infer_policy(&mut oracle, &g, &config).unwrap();
+        let r = strict_policy(&mut oracle, &g, &config).unwrap();
         (g, r.matched)
     };
     assert_eq!(g_timing.capacity, 24 * 1024);
     assert_eq!(matched_timing, Some("LRU"));
+}
+
+#[test]
+fn strict_and_budgeted_engines_agree_on_a_clean_oracle() {
+    // Atom D525-like LRU 6-way, the 8-way catalog policies and an
+    // undocumented 4-way: on a clean channel both voters must produce
+    // the same spec, match and validation verdict.
+    let cases = [
+        (PolicyKind::Lru, 6usize, Some("LRU")),
+        (PolicyKind::Lru, 8usize, Some("LRU")),
+        (PolicyKind::Fifo, 8usize, Some("FIFO")),
+        (PolicyKind::TreePlru, 8usize, Some("PLRU")),
+        (PolicyKind::LazyLru, 4usize, None),
+    ];
+    let config = InferenceConfig::default();
+    for (kind, assoc, expect) in cases {
+        let capacity = assoc as u64 * 64 * 64;
+        let cache = Cache::new(CacheConfig::new(capacity, assoc, 64).unwrap(), kind);
+        let geometry = infer_geometry(&mut SimOracle::new(cache.clone()), &config).unwrap();
+        assert_eq!(geometry.associativity, assoc, "{kind:?}");
+        let request = InferenceRequest::new(geometry, config.clone());
+        let strict = strict_policy(&mut SimOracle::new(cache.clone()), &geometry, &config).unwrap();
+        let budgeted = PermutationEngine::budgeted().infer(&mut SimOracle::new(cache), &request);
+        let budgeted = budgeted
+            .finding()
+            .and_then(|f| f.permutation())
+            .expect("budgeted verdict");
+        assert_eq!(strict.matched, expect, "{kind:?}");
+        assert_eq!(&strict, budgeted, "{kind:?}");
+    }
 }
 
 #[test]
@@ -125,7 +154,7 @@ fn derived_spec_predicts_future_behaviour() {
     let report = {
         let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L1);
         let g = infer_geometry(&mut oracle, &config).unwrap();
-        infer_policy(&mut oracle, &g, &config).unwrap()
+        strict_policy(&mut oracle, &g, &config).unwrap()
     };
     assert_eq!(report.spec, PermutationSpec::lru(6));
 

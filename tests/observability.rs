@@ -3,14 +3,9 @@
 //! balanced even when pool workers panic, and the log2 histograms land
 //! every value in exactly the documented bucket.
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
-
-use cachekit::core::infer::{infer_policy, Geometry, InferenceConfig, SimOracle};
+use cachekit::core::infer::{
+    Geometry, InferenceConfig, InferenceEngine, InferenceRequest, PermutationEngine, SimOracle,
+};
 use cachekit::policies::PolicyKind;
 use cachekit::sim::{par_map, Cache, CacheConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,15 +39,19 @@ fn infer_all_kinds() -> Vec<(String, String)> {
                 .unwrap(),
                 kind,
             );
-            let mut oracle = SimOracle::new(cache);
-            let outcome = match infer_policy(&mut oracle, &geometry, &config) {
-                Ok(report) => format!(
-                    "{:?}/{}/{}/{}",
-                    report.matched,
-                    report.spec.render(),
-                    report.validation_rounds,
-                    report.validation_mismatches
-                ),
+            let request = InferenceRequest::new(geometry, config.clone());
+            let report = PermutationEngine::strict().infer(&mut SimOracle::new(cache), &request);
+            let outcome = match &report.outcome {
+                Ok(found) => {
+                    let report = found.permutation().expect("a permutation finding");
+                    format!(
+                        "{:?}/{}/{}/{}",
+                        report.matched,
+                        report.spec.render(),
+                        report.validation_rounds,
+                        report.validation_mismatches
+                    )
+                }
                 Err(e) => format!("rejected: {e:?}"),
             };
             (kind.label(), outcome)

@@ -5,17 +5,9 @@
 //! non-power-of-two associativities of the paper's actual machines
 //! (Atom D525: 24 KiB 6-way L1; Core 2: 24-way L2s).
 
-// The deprecated free-function entry points (`infer_policy` & friends)
-// stay in-tree until the next breaking release; this suite deliberately
-// keeps calling them so their exact semantics — which the engine
-// wrappers must preserve — stay pinned. New code goes through
-// `InferenceEngine` (see `docs/automata.md`).
-#![allow(deprecated)]
-
-use cachekit::core::infer::{infer_policy, infer_policy_parallel, InferenceConfig, SimOracle};
 use cachekit::policies::{conformance, PolicyKind, TreePlru};
 use cachekit::sim::sweep::sweep;
-use cachekit::sim::{sweep_parallel, sweep_parallel_jobs, Cache, CacheConfig};
+use cachekit::sim::{sweep_parallel, sweep_parallel_jobs, CacheConfig};
 use cachekit::trace::gen;
 
 #[test]
@@ -57,45 +49,6 @@ fn sweep_parallel_env_entry_point_matches_too() {
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!((&s.policy_label, s.stats), (&p.policy_label, p.stats));
-    }
-}
-
-#[test]
-fn parallel_policy_inference_matches_serial_on_the_paper_geometries() {
-    // Atom D525-like 6-way and a PLRU 8-way: the parallel read-out must
-    // produce the same spec, match, and validation verdict as serial.
-    let cases = [
-        (PolicyKind::Lru, 6usize, Some("LRU")),
-        (PolicyKind::TreePlru, 8usize, Some("PLRU")),
-        (PolicyKind::LazyLru, 4usize, None),
-    ];
-    let config = InferenceConfig::default();
-    for (kind, assoc, expect) in cases {
-        let capacity = assoc as u64 * 64 * 64;
-        let cache = Cache::new(CacheConfig::new(capacity, assoc, 64).unwrap(), kind);
-        let geometry = {
-            let mut oracle = SimOracle::new(cache.clone());
-            cachekit::core::infer::infer_geometry(&mut oracle, &config).unwrap()
-        };
-        let serial = {
-            let mut oracle = SimOracle::new(cache.clone());
-            infer_policy(&mut oracle, &geometry, &config).unwrap()
-        };
-        let parallel = {
-            let oracle = SimOracle::new(cache);
-            infer_policy_parallel(&oracle, &geometry, &config, Some(4)).unwrap()
-        };
-        assert_eq!(serial.matched, expect, "{kind:?}");
-        assert_eq!(serial.matched, parallel.matched, "{kind:?}");
-        assert_eq!(serial.spec, parallel.spec, "{kind:?}");
-        assert_eq!(
-            serial.validation_rounds, parallel.validation_rounds,
-            "{kind:?}"
-        );
-        assert_eq!(
-            serial.validation_mismatches, parallel.validation_mismatches,
-            "{kind:?}"
-        );
     }
 }
 

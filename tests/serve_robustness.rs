@@ -1,12 +1,13 @@
 //! One request must not take the server down. Requests at the 16 MiB
 //! capacity cap are answered from trace lengths or refused by their
-//! price before anything runs, so none of them builds a trace it could
-//! not hold. ci.sh runs this file under a virtual-memory limit: a
-//! change that builds a capacity-cap trace again aborts the process
-//! there within seconds, whatever the host's memory.
+//! price or line count before anything runs, so none of them builds a
+//! trace, a generator table or a cache it could not hold. ci.sh runs
+//! this file under a virtual-memory limit: a change that builds a
+//! capacity-cap trace again aborts the process there within seconds,
+//! whatever the host's memory.
 
 use cachekit::serve::http::client::Connection;
-use cachekit::serve::{Json, ServeConfig, Server, MAX_SIMULATE_ACCESSES};
+use cachekit::serve::{Json, ServeConfig, Server, MAX_SIMULATE_ACCESSES, MAX_SIMULATE_LINES};
 
 const CAP: u64 = 16 * 1024 * 1024;
 
@@ -96,6 +97,35 @@ fn capacity_cap_requests_are_answered_or_priced_out_and_the_server_survives() {
     );
     assert_eq!(status, 400, "body {}", body.to_compact());
     assert!(error_of(&body).contains("109551948"), "{}", error_of(&body));
+
+    // At a 1-byte line the cap is 2^24 lines: `zipf_hot` is cheap in
+    // accesses, but its tables would span 2^26 lines (about 1 GiB), so the
+    // line count is refused before anything is built.
+    let (status, body) = query(
+        &mut conn,
+        &format!(
+            r#"{{"type":"simulate","policy":"LRU","capacity":{CAP},"assoc":16,"line":1,
+                "workload":"zipf_hot"}}"#
+        ),
+    );
+    assert_eq!(status, 400, "body {}", body.to_compact());
+    let error = error_of(&body);
+    assert!(error.contains(&CAP.to_string()), "{error}");
+    assert!(error.contains(&MAX_SIMULATE_LINES.to_string()), "{error}");
+
+    // A non-inclusive hierarchy may put a larger level inside a small
+    // outermost one; that level would allocate 2^30 lines of sets, so it
+    // is refused like a flat cache of its size.
+    let (status, body) = query(
+        &mut conn,
+        r#"{"type":"simulate_hierarchy","line":1,"workload":"zipf_hot","levels":[
+            {"policy":"LRU","capacity":1073741824,"assoc":8},
+            {"policy":"LRU","capacity":1048576,"assoc":8}]}"#,
+    );
+    assert_eq!(status, 400, "body {}", body.to_compact());
+    let error = error_of(&body);
+    assert!(error.contains("level 0"), "{error}");
+    assert!(error.contains(&CAP.to_string()), "{error}");
 
     // An unknown workload is still a cacheable answer, not a refusal.
     let (status, body) = query(
