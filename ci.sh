@@ -22,7 +22,10 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Tier-1: the seed's acceptance command.
+# Tier-1: the seed's acceptance command. Its tests/serve_backpressure.rs
+# holds the serving gates: 429 with Retry-After under saturation, no
+# job dropped or panicked at drain, 1,000 concurrent connections that
+# each answer, and a cache hit at least 100x faster than cold inference.
 run cargo build --release
 run cargo test -q
 
@@ -99,8 +102,8 @@ done
 run cargo run --release -q -p cachekit-bench --bin table3_cost -- --smoke
 
 # Engine-throughput smoke: exercises all five engines (boxed, enum,
-# eager table, lazy table, batch kernel) end-to-end and writes
-# results/bench_access_smoke.json (the recorded numbers in
+# eager table, lazy table, batch kernel) end-to-end and writes the
+# untracked results/bench_access_smoke.json (the recorded numbers in
 # results/bench_access.json come from the full run). The binary itself
 # exits nonzero if any target row is missing from the sweep — e.g. a
 # (policy, assoc) kernel that stopped compiling.
@@ -120,22 +123,6 @@ if grep -q '"met": false' results/bench_access.json; then
     exit 1
 fi
 
-# Serving-layer smoke: bench-client hosts a server on an ephemeral
-# port and runs the cold/warm/pipelined/load/c10k/saturation phases
-# for ~2 s each. The binary exits nonzero on any degraded answer,
-# missing 429 under saturation, sub-100x cache speedup, dropped job at
-# drain, or unmet smoke-scale target (≥10k pipelined req/s, ≥1,000
-# concurrent connections) — so this stage is the c10k/throughput gate.
-run cargo run --release -q -p cachekit-serve --bin bench-client -- --smoke
-
-# The committed full-run record must not claim an unmet target: every
-# "met" flag in results/serve_load.json has to be true.
-echo "==> grep -c '\"met\": false' results/serve_load.json"
-if grep -q '"met": false' results/serve_load.json; then
-    echo "ci: results/serve_load.json records an unmet target" >&2
-    exit 1
-fi
-
 # End-to-end benchmark smoke. perfbench is a workspace of its own, so
 # no stage above builds it. One round of every workload at seed 1:
 # each run checks all of its outputs, and its last line must report
@@ -143,6 +130,10 @@ fi
 # covers every statistic the sweep simulates, so any change to
 # simulated behaviour (an engine, the address mapping, the hierarchy)
 # fails here; update the pin only for an intended behaviour change.
+# hits_pipelined must also serve at least 10,000 pipelined cache hits
+# per second. A 1-second run reads 100k-170k req/s on a 2-vCPU VM, so
+# noise stays clear of the floor and a hit path slowed more than about
+# tenfold trips it.
 echo "==> CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
@@ -157,6 +148,13 @@ for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
         echo "ci: perfbench eval_sweep round 0 digest moved:" >&2
         grep '^round 0 digest' <<<"$out" >&2
         exit 1
+    fi
+    if [[ "$workload" == hits_pipelined ]]; then
+        rps=$(awk '$1 == "rps" && $2 == "=" { print $3 }' <<<"$out")
+        if ! awk -v rps="$rps" 'BEGIN { exit !(rps != "" && rps + 0 >= 10000) }'; then
+            echo "ci: perfbench hits_pipelined reads rps = ${rps:-none} req/s, under the 10,000 floor" >&2
+            exit 1
+        fi
     fi
 done
 

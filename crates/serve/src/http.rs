@@ -362,7 +362,7 @@ pub fn write_response<W: Write>(
 }
 
 /// The caller side: a keep-alive connection issuing requests in
-/// sequence (used by `bench-client` and the integration tests).
+/// sequence (used by the integration tests and the crate-level example).
 pub mod client {
     use super::*;
 

@@ -1,11 +1,12 @@
 //! Raw Linux `epoll`/`eventfd`/`rlimit` bindings — the only `unsafe`
 //! in the workspace, confined to this module.
 //!
-//! The reactor ([`crate::reactor`]) needs three kernel facilities the
-//! standard library does not expose: readiness multiplexing
-//! (`epoll_create1`/`epoll_ctl`/`epoll_wait`), a cheap cross-thread
-//! wakeup primitive (`eventfd`), and the file-descriptor budget
-//! (`getrlimit`/`setrlimit`, used by the bench client's c10k phase).
+//! The serving layer needs three kernel facilities the standard
+//! library does not expose: readiness multiplexing
+//! (`epoll_create1`/`epoll_ctl`/`epoll_wait`) and a cheap cross-thread
+//! wakeup primitive (`eventfd`) for the reactor ([`crate::reactor`]),
+//! and the file-descriptor budget (`getrlimit`/`setrlimit`) for
+//! processes that hold both ends of many connections.
 //! In the spirit of the vendored JSON/PRNG, the bindings are declared
 //! by hand against the C ABI the process already links (std itself
 //! links libc) instead of pulling in the `libc` crate.
@@ -199,8 +200,9 @@ impl Drop for EventFd {
 
 /// Raise the process's soft `RLIMIT_NOFILE` toward `want` descriptors
 /// (clamped to the hard limit) and return the resulting soft limit.
-/// The c10k bench phase calls this before opening its ten thousand
-/// sockets; on failure the current limit is returned unchanged.
+/// A process that holds both ends of many connections, like the
+/// thousand-connection serve test, calls this before opening them; on
+/// failure the current limit is returned unchanged.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut limit = Rlimit {
         rlim_cur: 0,

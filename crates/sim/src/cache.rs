@@ -380,8 +380,9 @@ impl Cache {
     /// Run a stream of read accesses in one call, returning
     /// `(hits, misses)` for the stream and updating the statistics.
     ///
-    /// Behaviour (contents, replacement state, hit/miss/eviction counts)
-    /// is identical to calling [`access`](Self::access) per element.
+    /// Behaviour (contents, replacement state, hit/miss/eviction and
+    /// write-back counts) is identical to calling [`access`](Self::access)
+    /// per element.
     /// Catalog policies keep all their state inside their set, so the
     /// stream is bucketed per set — which preserves program order within
     /// each set — and each set replays its run through
@@ -412,6 +413,7 @@ impl Cache {
             }
             let set = &mut self.sets[index];
             let occ_before = set.occupancy() as u64;
+            let dirty_before = set.dirty_lines();
             let (h, m) = set.access_many(run);
             let occ_after = set.occupancy() as u64;
             hits += h;
@@ -419,6 +421,9 @@ impl Cache {
             // A miss that displaced a valid line is an eviction; fills
             // into invalid ways grow the occupancy instead.
             self.stats.evictions += m - (occ_after - occ_before);
+            // Reads never dirty a line and only valid lines are dirty, so
+            // every dirty bit the run cleared was a dirty victim.
+            self.stats.writebacks += dirty_before - set.dirty_lines();
             if occ_before == 0 {
                 self.note_filled(index);
             }
@@ -568,38 +573,44 @@ mod tests {
 
     #[test]
     fn access_many_matches_per_access_calls_and_stats() {
-        // LRU@2 has no batch kernel; LRU@4 and PLRU@8 do. All must agree
-        // with the per-access path, including the eviction count.
+        // LRU@2 and CLOCK@8 have no batch kernel; LRU@4 and PLRU@8 do. All
+        // must agree with the per-access path on every statistic, from a
+        // cold cache and from one whose every line was written first (the
+        // reads then evict dirty lines, so write-backs must be counted).
         for (kind, assoc) in [
             (PolicyKind::Lru, 2usize),
             (PolicyKind::Lru, 4),
             (PolicyKind::TreePlru, 8),
+            (PolicyKind::Clock, 8),
         ] {
-            let cfg = CacheConfig::new(64 * assoc as u64 * 8, assoc, 64).unwrap();
-            let mut batched = Cache::new(cfg, kind);
-            let mut serial = Cache::new(cfg, kind);
-            let addrs: Vec<u64> = (0..4000u64)
-                .map(|i| (i * 2654435761 % (3 * 64 * assoc as u64 * 8)) & !63)
-                .collect();
-            let (hits, misses) = batched.access_many(&addrs);
-            let mut serial_hits = 0u64;
-            for &a in &addrs {
-                if serial.access(a).is_hit() {
-                    serial_hits += 1;
+            for dirty_first in [false, true] {
+                let case = format!("{kind:?}@{assoc} dirty_first={dirty_first}");
+                let cfg = CacheConfig::new(64 * assoc as u64 * 8, assoc, 64).unwrap();
+                let mut batched = Cache::new(cfg, kind);
+                let mut serial = Cache::new(cfg, kind);
+                if dirty_first {
+                    for line in 0..cfg.capacity() / 64 {
+                        batched.write(line * 64);
+                        serial.write(line * 64);
+                    }
                 }
-            }
-            assert_eq!(hits, serial_hits, "{kind:?}@{assoc}");
-            assert_eq!(hits + misses, addrs.len() as u64);
-            let (b, s) = (batched.stats(), serial.stats());
-            assert_eq!(b.accesses, s.accesses, "{kind:?}@{assoc}");
-            assert_eq!(b.hits, s.hits, "{kind:?}@{assoc}");
-            assert_eq!(b.evictions, s.evictions, "{kind:?}@{assoc}");
-            for a in &addrs {
-                assert_eq!(
-                    batched.contains(*a),
-                    serial.contains(*a),
-                    "{kind:?}@{assoc}"
-                );
+                let addrs: Vec<u64> = (0..4000u64)
+                    .map(|i| (i * 2654435761 % (3 * 64 * assoc as u64 * 8)) & !63)
+                    .collect();
+                let (hits, misses) = batched.access_many(&addrs);
+                let before = serial.stats().hits;
+                for &a in &addrs {
+                    serial.access(a);
+                }
+                assert_eq!(hits, serial.stats().hits - before, "{case}");
+                assert_eq!(hits + misses, addrs.len() as u64);
+                assert_eq!(batched.stats(), serial.stats(), "{case}");
+                if dirty_first {
+                    assert!(serial.stats().writebacks > 0, "{case}");
+                }
+                for a in &addrs {
+                    assert_eq!(batched.contains(*a), serial.contains(*a), "{case}");
+                }
             }
         }
     }

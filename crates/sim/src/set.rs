@@ -443,6 +443,11 @@ impl CacheSet {
         self.valid.count_ones() as usize
     }
 
+    /// Number of dirty lines.
+    pub(crate) fn dirty_lines(&self) -> u64 {
+        u64::from(self.dirty.count_ones())
+    }
+
     /// The resident tags in way order.
     pub fn resident_tags(&self) -> Vec<u64> {
         (0..self.tags.len())

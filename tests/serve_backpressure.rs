@@ -1,13 +1,17 @@
 //! Backpressure and drain semantics of the serving layer, made
-//! deterministic with a scripted (gate-blocked) executor:
+//! deterministic with a scripted (gate-blocked) executor, plus the
+//! serving gates that need a real server:
 //!
 //! * a saturated queue answers `429` with a `Retry-After` hint;
 //! * graceful drain completes every admitted job — nothing is dropped;
 //! * a job that out-waits the deadline is shed with `503`, not run;
-//! * a cache hit replays the cold path's bytes exactly.
+//! * a thousand concurrent keep-alive connections cost no threads and
+//!   each answers a query and an 8-deep pipelined round;
+//! * a cache hit replays the cold path's bytes exactly, at least 100x
+//!   faster than the cold inference in service time.
 
-use cachekit::serve::http::client::Connection;
-use cachekit::serve::{Executor, Json, Request, ServeConfig, Server, ServerHandle};
+use cachekit::serve::http::client::{ClientResponse, Connection};
+use cachekit::serve::{sys, Executor, Json, Request, ServeConfig, Server, ServerHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -400,14 +404,26 @@ fn pipelined_requests_get_in_order_responses() {
 fn thousand_idle_connections_need_no_thousand_threads() {
     // The c10k smoke, scaled for CI: a thousand idle keep-alive
     // connections must be parked epoll registrations, not a thousand
-    // handler threads. Thread count is read from /proc/self/task
-    // (client connections live in this process and cost no threads
-    // either, so the delta isolates the server's behaviour).
+    // handler threads, and every one of them must still answer. Thread
+    // count is read from /proc/self/task (client connections live in
+    // this process and cost no threads either, so the delta isolates
+    // the server's behaviour).
     fn thread_count() -> usize {
         std::fs::read_dir("/proc/self/task")
             .expect("/proc/self/task")
             .count()
     }
+
+    // Both ends of every connection are descriptors of this process,
+    // more than the common soft limit of 1,024 allows; the headroom
+    // covers the listener, epoll and eventfd descriptors and stdio.
+    let wanted = 2 * 1000 + 128;
+    let limit = sys::raise_nofile_limit(wanted);
+    assert!(
+        limit >= wanted,
+        "RLIMIT_NOFILE: {wanted} descriptors needed, but the limit could only be raised \
+         to {limit}; the hard limit is too low for this test"
+    );
 
     let handle = Server::start(ServeConfig {
         queue_shards: 1,
@@ -430,15 +446,34 @@ fn thousand_idle_connections_need_no_thousand_threads() {
         "idle connections must not spawn threads: {before} -> {after} for 1000 conns"
     );
 
-    // The parked connections are all live: spot-check both ends.
-    for index in [0usize, 499, 999] {
-        let health = conns[index].get("/healthz").expect("healthz");
-        assert_eq!(health.status, 200, "connection {index}");
+    // The parked connections are all live: each answers one cacheable
+    // query and then an 8-deep pipelined round of it.
+    let body = r#"{"type":"distances","policy":"LRU","assoc":8}"#;
+    for (index, conn) in conns.iter_mut().enumerate() {
+        let single = conn
+            .post_json("/v1/query", body)
+            .unwrap_or_else(|e| panic!("connection {index}: {e}"));
+        assert_eq!(
+            single.status,
+            200,
+            "connection {index}: {}",
+            single.body_str()
+        );
+        let round = conn
+            .post_json_pipelined("/v1/query", &[body; 8])
+            .unwrap_or_else(|e| panic!("connection {index}, pipelined: {e}"));
+        assert_eq!(round.len(), 8, "connection {index}");
+        assert!(
+            round.iter().all(|r| r.status == 200),
+            "connection {index}, pipelined: {:?}",
+            round.iter().map(|r| r.status).collect::<Vec<_>>()
+        );
     }
 
     drop(conns);
     let report = handle.shutdown();
     assert_eq!(report.submitted, report.completed);
+    assert_eq!(report.panicked, 0);
 }
 
 #[test]
@@ -640,6 +675,30 @@ fn cache_hits_replay_cold_bytes_identically() {
         "cached replay must be byte-identical to the cold execution"
     );
 
+    // The hit skips the whole pipeline: in server-side service time it
+    // must be at least 100x faster than the cold inference it replays.
+    // The fastest of three hits is gated, so one preemption of the
+    // reactor by a test running in parallel cannot fail it.
+    let service_us = |resp: &ClientResponse| -> u64 {
+        resp.header("x-service-us")
+            .expect("every query response carries X-Service-Us")
+            .parse()
+            .expect("X-Service-Us is integral microseconds")
+    };
+    let mut hit_us = service_us(&warm);
+    for _ in 0..2 {
+        let replay = conn.post_json("/v1/query", reordered).expect("replay");
+        assert_eq!(replay.header("x-cache"), Some("hit"));
+        assert_eq!(cold.body, replay.body);
+        hit_us = hit_us.min(service_us(&replay));
+    }
+    let cold_us = service_us(&cold);
+    assert!(
+        cold_us >= 100 * hit_us.max(1),
+        "a cache hit took {hit_us} us against {cold_us} us cold: under the 100x gate"
+    );
+
     let report = handle.shutdown();
     assert_eq!(report.submitted, report.completed);
+    assert_eq!(report.panicked, 0);
 }
