@@ -41,9 +41,10 @@ run cargo test -q --workspace --exclude cachekit
 run cargo test -q --release --test fault_differential --test vote_plan
 run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 
-# Engine differential at release optimisation: boxed / enum /
-# compiled-table bit-identity over all 13 differential kinds, plus the
-# catalog-spec -> table round trip.
+# Engine differential at release optimisation: every engine (the
+# eager and lazy table adapters, the batch kernels, and a boxed replica
+# of the pre-refactor set) bit-identical to the enum engine over all 13
+# differential kinds, plus the catalog-spec -> table round trip.
 run cargo test -q --release --test engine_differential
 
 # Inference-engine differential at release optimisation: permutation
@@ -101,12 +102,12 @@ done
 # in results/table3_cost.json covers the full associativity ladder).
 run cargo run --release -q -p cachekit-bench --bin table3_cost -- --smoke
 
-# Engine-throughput smoke: exercises all five engines (boxed, enum,
-# eager table, lazy table, batch kernel) end-to-end and writes the
-# untracked results/bench_access_smoke.json (the recorded numbers in
-# results/bench_access.json come from the full run). The binary itself
-# exits nonzero if any target row is missing from the sweep — e.g. a
-# (policy, assoc) kernel that stopped compiling.
+# Engine-throughput smoke: exercises all four engines (enum, the eager
+# and lazy table adapters serve runs, and the batch kernel) end-to-end
+# and writes the untracked results/bench_access_smoke.json (the recorded
+# numbers in results/bench_access.json come from the full run). The
+# binary itself exits nonzero if any target row is missing from the
+# sweep — e.g. a (policy, assoc) kernel that stopped compiling.
 run cargo run --release -q -p cachekit-bench --bin bench_access -- --smoke
 
 # The committed full-run engine record must have closed every gap: no
@@ -120,6 +121,15 @@ fi
 echo "==> grep -c '\"met\": false' results/bench_access.json"
 if grep -q '"met": false' results/bench_access.json; then
     echo "ci: results/bench_access.json records an unmet target" >&2
+    exit 1
+fi
+
+# Every committed run report must carry the spans its run recorded: an
+# empty metrics block means the artifact cannot say where its time went.
+echo "==> grep -l '\"spans\": {}' \$(git ls-files 'results/*.json')"
+if empty=$(grep -l '"spans": {}' $(git ls-files 'results/*.json')); then
+    echo "ci: committed artifacts record no spans:" >&2
+    echo "$empty" >&2
     exit 1
 fi
 

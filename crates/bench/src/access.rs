@@ -2,27 +2,26 @@
 //!
 //! Measures accesses/second over a realistically sized cache — many
 //! sets, interleaved accesses — for every differential policy kind at
-//! associativities 4, 8 and 16 on five engines:
+//! associativities 4, 8 and 16 on the four engines:
 //!
-//! * **boxed** — a faithful replica of the pre-refactor substrate: one
-//!   heap object per set with array-of-`Option` tags driving a
-//!   *concrete* policy behind `Box<dyn ReplacementPolicy>` (one virtual
-//!   call per policy event);
-//! * **enum** — the current [`CacheSet`] with its inline
-//!   enum-dispatched state, driven through the public per-access entry
-//!   point ([`access_tag`](CacheSet::access_tag));
-//! * **table** — the eagerly-compiled table engine at cache scale
-//!   ([`TableCache`]): flat tag/state slabs over one shared transition
-//!   table (deterministic kinds whose reachable state space fits the
-//!   `u16` budget);
-//! * **lazy** — the lazily-compiled table engine ([`LazyTableCache`]):
-//!   states interned on demand behind a lock-free memo, so kinds that
-//!   blow the eager budget (LRU at 16 ways is `16!`) still get a
-//!   table-family number;
+//! * **enum** — [`CacheSet`] with its inline enum-dispatched state,
+//!   driven through the public per-access entry point
+//!   ([`access_tag`](CacheSet::access_tag));
+//! * **table** — one [`CacheSet`] per set over a boxed [`TablePolicy`]
+//!   (deterministic kinds whose reachable state space fits the eager
+//!   `u16` budget), which is what serve's `table` engine builds;
+//! * **lazy** — one [`CacheSet`] per set over a boxed
+//!   [`LazyTablePolicy`]: states interned on demand behind a lock-free
+//!   memo, so kinds that blow the eager budget (LRU at 16 ways is
+//!   `16!`) still get a number. This is serve's `lazy_table` engine;
 //! * **kernel** — the monomorphized batch kernel ([`KernelCache`]):
 //!   per-(policy, assoc) specialized access loops over
 //!   struct-of-arrays slabs with SWAR tag compare and software
-//!   prefetch of upcoming rows.
+//!   prefetch of upcoming rows. It is the inner-loop ceiling, the same
+//!   one perfbench's `sim.kernel_ceiling_maccess_per_s` times.
+//!
+//! The enum, table and lazy columns replay through the same per-access
+//! loop, so they differ only in the policy each set runs.
 //!
 //! Cells an engine cannot serve carry a **typed skip reason** instead
 //! of a bare `n/a`: `stochastic` (transitions depend on an RNG — no
@@ -33,29 +32,27 @@
 //!
 //! The set count (16384 sets at full size — 8 MiB of modeled lines at
 //! 8 ways, an L3-class footprint) is the point of the comparison: an
-//! interleaved stream visits sets in random order, so the boxed
-//! engine's per-set pointer chains (tags `Vec`, policy `Box`, the
-//! policy's own heap state) each cost a dependent cache miss, while the
-//! refactored engines keep a set's whole state in one or two dense
-//! slabs. Single-set micro-runs hide exactly this difference — every
-//! engine fits in L1 there.
+//! interleaved stream visits sets in random order, so each access lands
+//! on a cold set and pays for every pointer the engine chases there (a
+//! table adapter's policy box, a wide set's tag `Vec`). Single-set
+//! micro-runs hide exactly this difference — every engine fits in L1
+//! there.
 //!
 //! All engines replay the *same* seeded stream of `(set, tag)` pairs
 //! (random set per access, 80/20 hot/cold tags), and their hit counts
 //! are asserted equal — the benchmark doubles as a cheap cross-engine
-//! differential check. Results land in `results/bench_access.json` (or
-//! `bench_access_smoke.json` with `--smoke`) through the usual
-//! [`Runner`] plumbing.
+//! differential check. Each engine's timed replays run inside a
+//! `cachekit-obs` span (`bench_access.enum`, `.table`, `.lazy`,
+//! `.kernel`) that counts the `accesses` it replayed. Results land in
+//! `results/bench_access.json` (or `bench_access_smoke.json` with
+//! `--smoke`) through the usual [`Runner`] plumbing.
 
 use crate::json::Json;
 use crate::{jobj, Runner, Table};
-use cachekit_core::perm::{lazy_table_for_kind, table_for_kind, LazyTableCache, TableCache};
+use cachekit_core::perm::{lazy_table_for_kind, table_for_kind, LazyTablePolicy, TablePolicy};
 use cachekit_policies::kernel::KernelCache;
-use cachekit_policies::rng::{mix64, Prng};
-use cachekit_policies::{
-    Bip, BitPlru, Brrip, Clock, Fifo, LazyLru, Lip, Lru, Nru, PolicyKind, Qlru, RandomPolicy,
-    ReplacementPolicy, Slru, Srrip, TreePlru,
-};
+use cachekit_policies::rng::Prng;
+use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 use cachekit_sim::CacheSet;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -139,74 +136,11 @@ fn cell_text(cell: EngineCell) -> String {
     cell.map_or_else(|s| s.label().into(), fmt_mops)
 }
 
-/// Per-access result the pre-refactor set constructed (replicated so the
-/// baseline pays the same cost, not a slimmed-down version of it).
-enum BoxedOutcome {
-    Hit,
-    Miss { _evicted: Option<u64> },
-}
-
-/// The pre-refactor cache-set representation, kept verbatim as the
-/// baseline: `Option`-boxed tags, `Vec<bool>` dirtiness, a boxed policy
-/// dispatched virtually on every event, and the original per-access
-/// outcome + write-back computation.
-struct BoxedSet {
-    tags: Vec<Option<u64>>,
-    dirty: Vec<bool>,
-    policy: Box<dyn ReplacementPolicy>,
-}
-
-impl BoxedSet {
-    fn new(policy: Box<dyn ReplacementPolicy>) -> Self {
-        let assoc = policy.associativity();
-        Self {
-            tags: vec![None; assoc],
-            dirty: vec![false; assoc],
-            policy,
-        }
-    }
-
-    /// Replica of the pre-refactor `CacheSet::access_tag` entry point.
-    /// `inline(never)` reproduces the call boundary its callers actually
-    /// paid: the old engine exposed per-access calls across a crate
-    /// boundary (the workspace builds without cross-crate LTO), and had
-    /// no batch API.
-    #[inline(never)]
-    fn access_tag(&mut self, tag: u64) -> BoxedOutcome {
-        if let Some(way) = self.tags.iter().position(|&t| t == Some(tag)) {
-            self.policy.on_hit(way);
-            return BoxedOutcome::Hit;
-        }
-        let way = match self.tags.iter().position(Option::is_none) {
-            Some(invalid) => invalid,
-            None => self.policy.victim(),
-        };
-        let evicted = self.tags[way].take();
-        let _writeback = if self.dirty[way] { evicted } else { None };
-        self.tags[way] = Some(tag);
-        self.dirty[way] = false;
-        self.policy.on_fill(way);
-        BoxedOutcome::Miss { _evicted: evicted }
-    }
-}
-
-/// Replay an interleaved stream on the boxed baseline, returning hits.
-fn boxed_access_many(sets: &mut [BoxedSet], stream: &[(u32, u64)]) -> u64 {
-    let mut hits = 0u64;
-    for &(set, tag) in stream {
-        hits += u64::from(matches!(
-            sets[set as usize].access_tag(tag),
-            BoxedOutcome::Hit
-        ));
-    }
-    hits
-}
-
-/// Replay an interleaved stream on the enum engine, returning hits. The
-/// per-access entry point is what real callers use on an interleaved
-/// stream (the batched [`CacheSet::access_many`] needs a per-set run of
-/// tags); it inlines here because the set exports it `#[inline]`.
-fn enum_access_many(sets: &mut [CacheSet], stream: &[(u32, u64)]) -> u64 {
+/// Replay an interleaved stream one access at a time through each set's
+/// public per-access entry point, returning hits: what real callers do
+/// on an interleaved stream. [`access_tag`](CacheSet::access_tag)
+/// inlines here because the set exports it `#[inline]`.
+fn replay(sets: &mut [CacheSet], stream: &[(u32, u64)]) -> u64 {
     let mut hits = 0u64;
     for &(set, tag) in stream {
         hits += u64::from(sets[set as usize].access_tag(tag).is_hit());
@@ -214,28 +148,13 @@ fn enum_access_many(sets: &mut [CacheSet], stream: &[(u32, u64)]) -> u64 {
     hits
 }
 
-/// Build the *concrete* boxed policy the pre-refactor engine used (same
-/// constructors and per-set seeds as [`PolicyKind::build_state`], but
-/// without the enum wrapper — the honest dynamic-dispatch baseline).
-fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn ReplacementPolicy> {
-    match kind {
-        PolicyKind::Lru => Box::new(Lru::new(assoc)),
-        PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
-        PolicyKind::TreePlru => Box::new(TreePlru::new(assoc)),
-        PolicyKind::BitPlru => Box::new(BitPlru::new(assoc)),
-        PolicyKind::Nru => Box::new(Nru::new(assoc)),
-        PolicyKind::Clock => Box::new(Clock::new(assoc)),
-        PolicyKind::Lip => Box::new(Lip::new(assoc)),
-        PolicyKind::Slru { protected } => Box::new(Slru::new(assoc, protected)),
-        PolicyKind::Bip { throttle } => Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))),
-        PolicyKind::Srrip { bits } => Box::new(Srrip::new(assoc, bits)),
-        PolicyKind::Qlru { insert } => Box::new(Qlru::new(assoc, insert)),
-        PolicyKind::Brrip { bits, throttle } => {
-            Box::new(Brrip::new(assoc, bits, throttle, mix64(0xbbb1, salt)))
-        }
-        PolicyKind::Random { seed } => Box::new(RandomPolicy::new(assoc, mix64(seed, salt))),
-        PolicyKind::LazyLru => Box::new(LazyLru::new(assoc)),
-    }
+/// `sets` cold `CacheSet`s, each over its own boxed policy from
+/// `policy`: the shape of serve's table-adapter caches
+/// (`Cache::with_policy_factory`).
+fn boxed_sets(sets: usize, policy: impl Fn() -> Box<dyn ReplacementPolicy>) -> Vec<CacheSet> {
+    (0..sets)
+        .map(|_| CacheSet::from_state(PolicyState::from_boxed(policy())))
+        .collect()
 }
 
 /// Seeded interleaved access stream: each access picks a uniformly
@@ -268,7 +187,16 @@ struct EngineRun {
     hits: u64,
 }
 
-fn time_engine(repeats: usize, accesses: usize, mut replay: impl FnMut() -> u64) -> EngineRun {
+/// Time `repeats` replays of an `accesses`-long stream inside the
+/// engine's `span`, which also counts the replayed `accesses`.
+fn time_engine(
+    span: &str,
+    repeats: usize,
+    accesses: usize,
+    mut replay: impl FnMut() -> u64,
+) -> EngineRun {
+    let _span = cachekit_obs::span(span);
+    cachekit_obs::add("accesses", (repeats * accesses) as u64);
     let mut best = f64::INFINITY;
     let mut hits = 0;
     for _ in 0..repeats {
@@ -289,8 +217,6 @@ pub struct Measurement {
     pub kind: PolicyKind,
     /// Number of ways.
     pub assoc: usize,
-    /// Boxed-baseline throughput, million accesses/second.
-    pub boxed_mops: f64,
     /// Enum-engine throughput, million accesses/second.
     pub enum_mops: f64,
     /// Eager-table throughput, or why the kind has no eager table.
@@ -312,21 +238,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Enum-engine speedup over the boxed baseline.
-    pub fn enum_speedup(&self) -> f64 {
-        self.enum_mops / self.boxed_mops
-    }
-
-    /// Eager-table speedup over the boxed baseline.
-    pub fn table_speedup(&self) -> Option<f64> {
-        self.table.ok().map(|t| t / self.boxed_mops)
-    }
-
-    /// Batch-kernel speedup over the boxed baseline.
-    pub fn kernel_speedup(&self) -> Option<f64> {
-        self.kernel.ok().map(|k| k / self.boxed_mops)
-    }
-
     /// Batch-kernel speedup over the same-run eager table.
     pub fn kernel_over_table(&self) -> Option<f64> {
         match (self.kernel, self.table) {
@@ -351,24 +262,12 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
     // State (including stochastic policies' RNG position) carries over
     // across repeats, equally on every engine, so repeats stay
     // access-for-access comparable.
-    let mut boxed: Vec<BoxedSet> = (0..cfg.sets)
-        .map(|s| BoxedSet::new(boxed_policy(kind, assoc, s as u64)))
-        .collect();
-    let boxed_run = time_engine(cfg.repeats, cfg.accesses, || {
-        boxed_access_many(&mut boxed, &stream)
-    });
-
     let mut enumed: Vec<CacheSet> = (0..cfg.sets)
         .map(|s| CacheSet::from_state(kind.build_state(assoc, s as u64)))
         .collect();
-    let enum_run = time_engine(cfg.repeats, cfg.accesses, || {
-        enum_access_many(&mut enumed, &stream)
+    let enum_run = time_engine("bench_access.enum", cfg.repeats, cfg.accesses, || {
+        replay(&mut enumed, &stream)
     });
-
-    assert_eq!(
-        boxed_run.hits, enum_run.hits,
-        "boxed and enum engines disagree for {kind:?} at {assoc} ways"
-    );
 
     // The lazy table exists exactly for deterministic kinds, which makes
     // it the discriminator for the eager column's skip reason: an eager
@@ -380,8 +279,10 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
     let table_states = eager.as_ref().map(|t| t.states());
     let table = match eager {
         Some(t) => {
-            let mut cache = TableCache::new(t, cfg.sets);
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
+            let mut sets = boxed_sets(cfg.sets, || Box::new(TablePolicy::new(t.clone())));
+            let run = time_engine("bench_access.table", cfg.repeats, cfg.accesses, || {
+                replay(&mut sets, &stream)
+            });
             assert_eq!(
                 run.hits, enum_run.hits,
                 "table and enum engines disagree for {kind:?} at {assoc} ways"
@@ -394,8 +295,10 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
 
     let (lazy, lazy_states, lazy_saturated) = match &lazy_table {
         Some(t) => {
-            let mut cache = LazyTableCache::new(t.clone(), cfg.sets);
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
+            let mut sets = boxed_sets(cfg.sets, || Box::new(LazyTablePolicy::new(t.clone())));
+            let run = time_engine("bench_access.lazy", cfg.repeats, cfg.accesses, || {
+                replay(&mut sets, &stream)
+            });
             assert_eq!(
                 run.hits, enum_run.hits,
                 "lazy table and enum engines disagree for {kind:?} at {assoc} ways"
@@ -408,7 +311,9 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
     let kernel_name = KernelCache::kernel_name(kind, assoc);
     let kernel = match KernelCache::for_kind(kind, assoc, cfg.sets) {
         Some(mut cache) => {
-            let run = time_engine(cfg.repeats, cfg.accesses, || cache.access_many(&stream).0);
+            let run = time_engine("bench_access.kernel", cfg.repeats, cfg.accesses, || {
+                cache.access_many(&stream).0
+            });
             assert_eq!(
                 run.hits, enum_run.hits,
                 "kernel and enum engines disagree for {kind:?} at {assoc} ways"
@@ -421,7 +326,6 @@ pub fn measure(kind: PolicyKind, assoc: usize, cfg: &BenchConfig) -> Measurement
     Measurement {
         kind,
         assoc,
-        boxed_mops: boxed_run.mops,
         enum_mops: enum_run.mops,
         table,
         table_states,
@@ -469,8 +373,7 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
     let mut table = Table::new(
         "Access throughput by engine (million accesses/s, best repeat)",
         &[
-            "policy", "assoc", "boxed", "enum", "table", "lazy", "kernel", "enum x", "kern/tab",
-            "states",
+            "policy", "assoc", "enum", "table", "lazy", "kernel", "kern/tab", "states",
         ],
     );
     let mut entries = Vec::new();
@@ -478,7 +381,7 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
     for kind in PolicyKind::differential_kinds() {
         for assoc in ASSOCS {
             let m = measure(kind, assoc, &cfg);
-            let engines = 2
+            let engines = 1
                 + usize::from(m.table.is_ok())
                 + usize::from(m.lazy.is_ok())
                 + usize::from(m.kernel.is_ok());
@@ -487,12 +390,10 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
             table.row(vec![
                 kind.label(),
                 assoc.to_string(),
-                fmt_mops(m.boxed_mops),
                 fmt_mops(m.enum_mops),
                 cell_text(m.table),
                 cell_text(m.lazy),
                 cell_text(m.kernel),
-                format!("{:.2}", m.enum_speedup()),
                 m.kernel_over_table()
                     .map_or_else(|| "-".into(), |x| format!("{x:.2}")),
                 m.table_states
@@ -502,7 +403,6 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
             entries.push(jobj! {
                 "policy": kind.label(),
                 "assoc": assoc,
-                "boxed_mops": m.boxed_mops,
                 "enum_mops": m.enum_mops,
                 "table_mops": cell_mops(m.table),
                 "table_skip": cell_skip(m.table),
@@ -511,9 +411,6 @@ pub fn run_and_report(smoke: bool) -> SweepOutcome {
                 "kernel_mops": cell_mops(m.kernel),
                 "kernel_skip": cell_skip(m.kernel),
                 "kernel": m.kernel_name.map_or(Json::Null, Json::from),
-                "enum_speedup": m.enum_speedup(),
-                "table_speedup": m.table_speedup().map_or(Json::Null, Json::from),
-                "kernel_speedup": m.kernel_speedup().map_or(Json::Null, Json::from),
                 "kernel_over_table": m.kernel_over_table().map_or(Json::Null, Json::from),
                 "table_states": m.table_states.map_or(Json::Null, Json::from),
                 "lazy_states": m.lazy_states.map_or(Json::Null, Json::from),
@@ -631,7 +528,7 @@ mod tests {
                 // (table, lazy, kernel) replays to the enum hit count.
                 let m = measure(kind, assoc, &cfg);
                 assert!(m.hits > 0, "{kind:?}/{assoc}: degenerate stream");
-                assert!(m.boxed_mops > 0.0 && m.enum_mops > 0.0);
+                assert!(m.enum_mops > 0.0);
             }
         }
     }
@@ -664,23 +561,5 @@ mod tests {
         assert!(m.lazy.is_ok());
         assert_eq!(m.kernel, Err(Skip::NoKernel));
         assert_eq!(m.kernel_name, None);
-    }
-
-    #[test]
-    fn boxed_baseline_replays_the_enum_engine() {
-        let stream = workload(8, 16, 30_000, 42);
-        for kind in PolicyKind::differential_kinds() {
-            let mut b: Vec<BoxedSet> = (0..16)
-                .map(|s| BoxedSet::new(boxed_policy(kind, 8, s as u64)))
-                .collect();
-            let mut e: Vec<CacheSet> = (0..16)
-                .map(|s| CacheSet::from_state(kind.build_state(8, s as u64)))
-                .collect();
-            assert_eq!(
-                boxed_access_many(&mut b, &stream),
-                enum_access_many(&mut e, &stream),
-                "kind {kind:?}"
-            );
-        }
     }
 }

@@ -1,6 +1,7 @@
-//! Engine-throughput benchmark: boxed vs enum vs table vs lazy-table vs
+//! Engine-throughput benchmark: enum vs table vs lazy-table vs
 //! batch-kernel access rates for every differential policy kind at
-//! 4/8/16 ways.
+//! 4/8/16 ways. The table and lazy columns time the per-set adapters
+//! serve runs; the kernel column is the inner-loop ceiling.
 //!
 //! Run with: `cargo run --release -p cachekit-bench --bin bench_access
 //! [-- --smoke]`. The full run writes `results/bench_access.json`;

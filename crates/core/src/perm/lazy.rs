@@ -34,11 +34,8 @@
 //! per-set and bit-identical, so a table that saturates degrades in
 //! throughput, never in behaviour.
 //!
-//! Three consumers sit on top:
+//! Two consumers sit on top:
 //!
-//! * [`LazyTableCache`] — the flat multi-set engine the throughput
-//!   benchmark measures (the lazy counterpart of
-//!   [`TableCache`](super::TableCache));
 //! * [`LazyTablePolicy`] — a [`ReplacementPolicy`] adapter with a
 //!   *working* `on_invalidate`, so table execution is legal under
 //!   `Inclusive`/`Exclusive` hierarchies (the eager
@@ -47,13 +44,11 @@
 //!   mirroring [`table_for_kind`](super::table_for_kind).
 
 use cachekit_policies::{PolicyKind, ReplacementPolicy};
-use cachekit_sim::{find_way, AccessOutcome};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::table::filled_mask;
 use super::TableError;
 
 /// Hard ceiling on a lazy table's state budget. Ids are `u32` with two
@@ -159,8 +154,8 @@ impl VictimBank {
 
 /// A transition table compiled on demand over the **generalized** event
 /// alphabet (hit / fill-at-any-way / invalidate / victim), with a
-/// lock-free state memo. See the module docs for the design; see
-/// [`LazyTableCache`] and [`LazyTablePolicy`] for the executors.
+/// lock-free state memo. See the module docs for the design, and
+/// [`LazyTablePolicy`] for the executor.
 ///
 /// All methods take `&self`: one `Arc<LazyPermTable>` is shared by every
 /// set (and every thread) simulating the same policy, and they grow the
@@ -276,14 +271,14 @@ impl LazyPermTable {
     }
 
     /// A boxed policy clone frozen in state `id` — the direct-mode
-    /// escape hatch for executors when the memo saturates.
-    pub fn materialize(&self, id: u32) -> Box<dyn ReplacementPolicy> {
+    /// escape hatch for the adapter when the memo saturates.
+    fn materialize(&self, id: u32) -> Box<dyn ReplacementPolicy> {
         self.entry(id).policy.boxed_clone()
     }
 
     /// The state-identity key of `id` (the underlying policy's
     /// `state_key`), for adapters that must report exact policy state.
-    pub fn state_key_of(&self, id: u32) -> &[u8] {
+    fn state_key_of(&self, id: u32) -> &[u8] {
         &self.entry(id).key
     }
 
@@ -385,27 +380,27 @@ impl LazyPermTable {
 
     /// Successor of `id` after a hit on `way`.
     #[inline]
-    pub fn hit_edge(&self, id: u32, way: usize) -> Option<u32> {
+    fn hit_edge(&self, id: u32, way: usize) -> Option<u32> {
         self.resolve(self.hit.slot(id, way), id, |p| p.on_hit(way))
     }
 
     /// Successor of `id` after a fill of `way` (any way — warm-up,
     /// victim, or a refill into an invalidated hole).
     #[inline]
-    pub fn fill_edge(&self, id: u32, way: usize) -> Option<u32> {
+    fn fill_edge(&self, id: u32, way: usize) -> Option<u32> {
         self.resolve(self.fill.slot(id, way), id, |p| p.on_fill(way))
     }
 
     /// Successor of `id` after invalidating `way`.
     #[inline]
-    pub fn invalidate_edge(&self, id: u32, way: usize) -> Option<u32> {
+    fn invalidate_edge(&self, id: u32, way: usize) -> Option<u32> {
         self.resolve(self.inv.slot(id, way), id, |p| p.on_invalidate(way))
     }
 
     /// Victim selection from `id`: the chosen way and the successor
     /// state (policies like NRU and CLOCK mutate during selection).
     #[inline]
-    pub fn victim_edge(&self, id: u32) -> Option<(usize, u32)> {
+    fn victim_edge(&self, id: u32) -> Option<(usize, u32)> {
         let slot = self.vic.slot(id);
         match slot.load(Ordering::Acquire) {
             0 => {
@@ -444,171 +439,6 @@ impl Clone for SetMode {
             SetMode::Table(id) => SetMode::Table(*id),
             SetMode::Direct(p) => SetMode::Direct(p.boxed_clone()),
         }
-    }
-}
-
-/// A flat multi-set cache executing a [`LazyPermTable`] — the lazy
-/// counterpart of [`TableCache`](super::TableCache), and the engine the
-/// `lazy` column of the throughput benchmark measures.
-///
-/// Pure access streams (the fill count stands in for the valid mask, as
-/// in the eager cache). Sets whose next transition cannot be interned
-/// switch to direct mode individually and permanently; behaviour is
-/// bit-identical either way.
-#[derive(Debug, Clone)]
-pub struct LazyTableCache {
-    table: Arc<LazyPermTable>,
-    tags: Vec<u64>,
-    filled: Vec<u8>,
-    mode: Vec<SetMode>,
-}
-
-impl LazyTableCache {
-    /// Create a cold cache of `sets` sets executing `table`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` is zero.
-    pub fn new(table: Arc<LazyPermTable>, sets: usize) -> Self {
-        assert!(sets >= 1, "a cache needs at least one set");
-        let assoc = table.associativity();
-        let root = table.root();
-        Self {
-            tags: vec![0; sets * assoc],
-            filled: vec![0; sets],
-            mode: vec![SetMode::Table(root); sets],
-            table,
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.filled.len()
-    }
-
-    /// Number of ways per set.
-    pub fn associativity(&self) -> usize {
-        self.table.associativity()
-    }
-
-    /// Number of sets that have fallen back to direct (concrete-policy)
-    /// execution because the memo saturated.
-    pub fn direct_sets(&self) -> usize {
-        self.mode
-            .iter()
-            .filter(|m| matches!(m, SetMode::Direct(_)))
-            .count()
-    }
-
-    /// Look up `tag` in `set`; on a miss, install it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    #[inline]
-    pub fn access(&mut self, set: usize, tag: u64) -> AccessOutcome {
-        let assoc = self.table.associativity();
-        let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
-        let filled = self.filled[set] as usize;
-        // Locate the way first — identical lookup for both modes.
-        let way = find_way(tags, filled_mask(filled), tag);
-        match &mut self.mode[set] {
-            SetMode::Table(id) => {
-                if let Some(way) = way {
-                    match self.table.hit_edge(*id, way) {
-                        Some(nid) => *id = nid,
-                        None => {
-                            let mut p = self.table.materialize(*id);
-                            p.on_hit(way);
-                            self.mode[set] = SetMode::Direct(p);
-                        }
-                    }
-                    return AccessOutcome::Hit;
-                }
-                // Miss. Pick the fill way: warm-up target below, victim
-                // edge when full.
-                let (way, evicted, after_victim) = if filled < assoc {
-                    (filled, None, *id)
-                } else {
-                    match self.table.victim_edge(*id) {
-                        Some((w, nid)) => (w, Some(tags[w]), nid),
-                        None => {
-                            let mut p = self.table.materialize(*id);
-                            let w = p.victim();
-                            let evicted = Some(tags[w]);
-                            tags[w] = tag;
-                            p.on_fill(w);
-                            self.mode[set] = SetMode::Direct(p);
-                            return AccessOutcome::Miss { evicted };
-                        }
-                    }
-                };
-                tags[way] = tag;
-                if filled < assoc {
-                    self.filled[set] = filled as u8 + 1;
-                }
-                match self.table.fill_edge(after_victim, way) {
-                    Some(nid) => *id = nid,
-                    None => {
-                        let mut p = self.table.materialize(after_victim);
-                        p.on_fill(way);
-                        self.mode[set] = SetMode::Direct(p);
-                    }
-                }
-                AccessOutcome::Miss { evicted }
-            }
-            SetMode::Direct(p) => {
-                if let Some(way) = way {
-                    p.on_hit(way);
-                    return AccessOutcome::Hit;
-                }
-                let (way, evicted) = if filled < assoc {
-                    self.filled[set] = filled as u8 + 1;
-                    (filled, None)
-                } else {
-                    let w = p.victim();
-                    (w, Some(tags[w]))
-                };
-                tags[way] = tag;
-                p.on_fill(way);
-                AccessOutcome::Miss { evicted }
-            }
-        }
-    }
-
-    /// Run an interleaved stream of `(set, tag)` accesses, returning
-    /// `(hits, misses)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any set index is out of range.
-    pub fn access_many(&mut self, stream: &[(u32, u64)]) -> (u64, u64) {
-        let mut hits = 0u64;
-        for &(set, tag) in stream {
-            if self.access(set as usize, tag).is_hit() {
-                hits += 1;
-            }
-        }
-        (hits, stream.len() as u64 - hits)
-    }
-
-    /// The tag resident in `way` of `set`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` or `way` is out of range.
-    pub fn tag_in_way(&self, set: usize, way: usize) -> Option<u64> {
-        let assoc = self.table.associativity();
-        assert!(way < assoc, "way {way} out of range");
-        let tag = self.tags[set * assoc + way];
-        (way < self.filled[set] as usize).then_some(tag)
-    }
-
-    /// Drop all contents and return every set to the cold state.
-    pub fn reset(&mut self) {
-        self.filled.fill(0);
-        let root = self.table.root();
-        self.mode.fill_with(|| SetMode::Table(root));
     }
 }
 
@@ -734,7 +564,7 @@ impl ReplacementPolicy for LazyTablePolicy {
 /// catalog kind at the given associativity, with the
 /// [`DEFAULT_LAZY_STATE_BUDGET`]. Returns `None` for stochastic kinds
 /// and invalid combinations — there is no "too large" failure here;
-/// over-budget spaces saturate at run time and the executors degrade
+/// over-budget spaces saturate at run time and the adapters degrade
 /// per set.
 pub fn lazy_table_for_kind(kind: PolicyKind, assoc: usize) -> Option<Arc<LazyPermTable>> {
     if !kind.is_deterministic() || kind.validate_for_assoc(assoc).is_err() {
@@ -760,67 +590,49 @@ pub fn lazy_table_for_kind(kind: PolicyKind, assoc: usize) -> Option<Arc<LazyPer
 mod tests {
     use super::*;
     use cachekit_policies::rng::Prng;
+    use cachekit_policies::PolicyState;
     use cachekit_sim::CacheSet;
-
-    fn random_stream(assoc: usize, len: usize, seed: u64) -> Vec<u64> {
-        let mut rng = Prng::seed_from_u64(seed);
-        (0..len)
-            .map(|_| rng.gen_range(0..(3 * assoc as u64)))
-            .collect()
-    }
-
-    #[test]
-    fn lazy_cache_matches_the_enum_set_per_access() {
-        for (kind, assoc) in [
-            (PolicyKind::Lru, 8),
-            (PolicyKind::Lru, 16),
-            (PolicyKind::Fifo, 16),
-            (PolicyKind::TreePlru, 16),
-            (PolicyKind::Nru, 8),
-            (PolicyKind::Clock, 8),
-        ] {
-            let table = Arc::new(LazyPermTable::new(&kind.build_state(assoc, 0), 1 << 14).unwrap());
-            let mut lazy = LazyTableCache::new(table, 4);
-            let mut sets: Vec<CacheSet> = (0..4)
-                .map(|_| CacheSet::from_state(kind.build_state(assoc, 0)))
-                .collect();
-            let mut rng = Prng::seed_from_u64(0x1A2B);
-            for i in 0..8000 {
-                let set = rng.gen_range(0..4u64) as usize;
-                let tag = rng.gen_range(0..(3 * assoc as u64));
-                let a = lazy.access(set, tag);
-                let b = sets[set].access_tag(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for (s, cs) in sets.iter().enumerate() {
-                for w in 0..assoc {
-                    assert_eq!(lazy.tag_in_way(s, w), cs.tag_in_way(w), "set {s} way {w}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn saturated_memo_degrades_to_direct_mode_not_divergence() {
-        // A budget of 8 states saturates within the first few accesses
-        // of LRU-8; every set must fall back and stay bit-identical.
+        // A budget of 8 states saturates within the first few events of
+        // LRU-8; every adapter must fall back and stay bit-identical.
         let table = Arc::new(LazyPermTable::new(&PolicyKind::Lru.build_state(8, 0), 8).unwrap());
-        let mut lazy = LazyTableCache::new(table.clone(), 2);
-        let mut sets: Vec<CacheSet> = (0..2)
-            .map(|_| CacheSet::from_state(PolicyKind::Lru.build_state(8, 0)))
-            .collect();
+        let mut adapters = [
+            LazyTablePolicy::new(table.clone()),
+            LazyTablePolicy::new(table.clone()),
+        ];
+        let mut concrete = [
+            PolicyKind::Lru.build_state(8, 0),
+            PolicyKind::Lru.build_state(8, 0),
+        ];
         let mut rng = Prng::seed_from_u64(0xDEAD);
-        for i in 0..4000 {
+        for step in 0..4000 {
             let set = rng.gen_range(0..2u64) as usize;
-            let tag = rng.gen_range(0..24u64);
+            let way = rng.gen_range(0..8u64) as usize;
+            let (adapter, policy) = (&mut adapters[set], &mut concrete[set]);
+            match rng.gen_range(0..3u64) {
+                0 => {
+                    adapter.on_hit(way);
+                    policy.on_hit(way);
+                }
+                1 => {
+                    adapter.on_fill(way);
+                    policy.on_fill(way);
+                }
+                _ => assert_eq!(adapter.victim(), policy.victim(), "victim at step {step}"),
+            }
             assert_eq!(
-                lazy.access(set, tag),
-                sets[set].access_tag(tag),
-                "diverged at access {i}"
+                adapter.state_key(),
+                policy.state_key(),
+                "state diverged at step {step}"
             );
         }
         assert!(table.saturated());
-        assert_eq!(lazy.direct_sets(), 2, "both sets must have fallen back");
+        assert!(
+            adapters.iter().all(LazyTablePolicy::is_direct),
+            "both adapters must have fallen back"
+        );
     }
 
     #[test]
@@ -879,7 +691,13 @@ mod tests {
             .map(|t| {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    let mut cache = LazyTableCache::new(table, 8);
+                    let mut lazy: Vec<CacheSet> = (0..8)
+                        .map(|_| {
+                            CacheSet::from_state(PolicyState::from_boxed(Box::new(
+                                LazyTablePolicy::new(table.clone()),
+                            )))
+                        })
+                        .collect();
                     let mut sets: Vec<CacheSet> = (0..8)
                         .map(|_| CacheSet::from_state(PolicyKind::TreePlru.build_state(8, 0)))
                         .collect();
@@ -887,7 +705,7 @@ mod tests {
                     for _ in 0..20_000 {
                         let set = rng.gen_range(0..8u64) as usize;
                         let tag = rng.gen_range(0..24u64);
-                        assert_eq!(cache.access(set, tag), sets[set].access_tag(tag));
+                        assert_eq!(lazy[set].access_tag(tag), sets[set].access_tag(tag));
                     }
                 })
             })
@@ -899,19 +717,5 @@ mod tests {
         // so nothing saturated and the memo holds the full space.
         assert!(!table.saturated());
         assert!(table.states() > 0);
-    }
-
-    #[test]
-    fn reset_returns_to_cold() {
-        let table = lazy_table_for_kind(PolicyKind::Nru, 4).unwrap();
-        let mut cache = LazyTableCache::new(table, 2);
-        let stream: Vec<(u32, u64)> = random_stream(4, 400, 77)
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| ((i % 2) as u32, t))
-            .collect();
-        let cold = cache.access_many(&stream);
-        cache.reset();
-        assert_eq!(cache.access_many(&stream), cold);
     }
 }

@@ -34,11 +34,9 @@ pub use catalog::{catalog_for, match_spec, CatalogEntry};
 pub use derive::{derive_permutation_spec, detect_insertion_position, DeriveError};
 pub use equivalence::{equivalent, Counterexample, EquivalenceResult};
 pub use lazy::{
-    lazy_table_for_kind, LazyPermTable, LazyTableCache, LazyTablePolicy, DEFAULT_LAZY_STATE_BUDGET,
+    lazy_table_for_kind, LazyPermTable, LazyTablePolicy, DEFAULT_LAZY_STATE_BUDGET,
     MAX_LAZY_STATE_BUDGET,
 };
 pub use permutation::{Permutation, PermutationError};
 pub use policy::{PermutationPolicy, PermutationSpec, SpecError};
-pub use table::{
-    table_for_kind, PermTable, TableCache, TableError, TablePolicy, TableSet, MAX_STATE_BUDGET,
-};
+pub use table::{table_for_kind, PermTable, TableError, TablePolicy, MAX_STATE_BUDGET};

@@ -18,20 +18,16 @@
 //! transition graph). [`PermTable::from_spec`] compiles an abstract
 //! [`PermutationSpec`] by wrapping it in a [`PermutationPolicy`] first.
 //!
-//! Two execution adapters sit on top:
-//!
-//! * [`TableSet`] — a bare single set (tags + validity + `u16` state)
-//!   for throughput benchmarks and differential tests;
-//! * [`TablePolicy`] — a [`ReplacementPolicy`] adapter so a compiled
-//!   table can drive an ordinary [`CacheSet`](cachekit_sim::CacheSet)
-//!   or [`Cache`](cachekit_sim::Cache) (the serving layer uses this).
+//! [`TablePolicy`] executes a table: a [`ReplacementPolicy`] adapter so
+//! a compiled table can drive an ordinary
+//! [`CacheSet`](cachekit_sim::CacheSet) or
+//! [`Cache`](cachekit_sim::Cache) (the serving layer uses this).
 //!
 //! The compiled engine supports **pure access streams only**: reads and
 //! writes, no invalidation, no external evictions. Callers that flush
 //! or invalidate must stay on the enum engine.
 
 use cachekit_policies::{PolicyKind, ReplacementPolicy};
-use cachekit_sim::{find_way, AccessOutcome};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -253,258 +249,6 @@ impl PermTable {
     }
 }
 
-/// Validity mask of a flat table-engine set holding `filled` lines: the
-/// pure-access protocol fills ways in ascending order, so exactly ways
-/// `0..filled` are valid.
-#[inline]
-pub(crate) fn filled_mask(filled: usize) -> u128 {
-    if filled >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << filled) - 1
-    }
-}
-
-/// A single cache set executing a compiled [`PermTable`]: dense tags, a
-/// validity mask and one `u16` state — nothing else.
-///
-/// Supports pure access streams only (no invalidation); behaviour is
-/// bit-identical to driving the source policy through a
-/// [`CacheSet`](cachekit_sim::CacheSet) with read accesses.
-#[derive(Debug, Clone)]
-pub struct TableSet {
-    table: Arc<PermTable>,
-    tags: Vec<u64>,
-    valid: u128,
-    state: u16,
-}
-
-impl TableSet {
-    /// Create a cold set executing `table`.
-    pub fn new(table: Arc<PermTable>) -> Self {
-        let assoc = table.associativity();
-        Self {
-            table,
-            tags: vec![0; assoc],
-            valid: 0,
-            state: 0,
-        }
-    }
-
-    /// Number of ways.
-    pub fn associativity(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Look up `tag`; on a miss, install it. `evicted` in the outcome
-    /// carries the displaced tag.
-    #[inline]
-    pub fn access(&mut self, tag: u64) -> AccessOutcome {
-        if let Some(way) = find_way(&self.tags, self.valid, tag) {
-            self.state = self.table.hit_next(self.state, way);
-            return AccessOutcome::Hit;
-        }
-        let s = self.state as usize;
-        let way = self.table.fill_way[s] as usize;
-        let bit = 1u128 << way;
-        let evicted = (self.valid & bit != 0).then(|| self.tags[way]);
-        self.tags[way] = tag;
-        self.valid |= bit;
-        self.state = self.table.fill_next[s];
-        AccessOutcome::Miss { evicted }
-    }
-
-    /// Run a stream of accesses, returning `(hits, misses)`.
-    ///
-    /// Access-for-access identical to calling [`access`](Self::access)
-    /// per element, but once the set is full the loop tightens: the
-    /// validity mask is constant (every way stays valid) and the
-    /// per-transition bookkeeping reduces to the two table reads.
-    pub fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
-        let assoc = self.tags.len();
-        let full = filled_mask(assoc);
-        let mut hits = 0u64;
-        let mut rest = stream;
-        while self.valid != full {
-            let Some((&tag, tail)) = rest.split_first() else {
-                return (hits, stream.len() as u64 - hits);
-            };
-            rest = tail;
-            if self.access(tag).is_hit() {
-                hits += 1;
-            }
-        }
-        let hit_rows = self.table.hit.as_slice();
-        let fill_way = self.table.fill_way.as_slice();
-        let fill_next = self.table.fill_next.as_slice();
-        let tags = self.tags.as_mut_slice();
-        let mut state = self.state as usize;
-        for &tag in rest {
-            if let Some(way) = find_way(tags, full, tag) {
-                state = hit_rows[state * assoc + way] as usize;
-                hits += 1;
-            } else {
-                let way = fill_way[state] as usize;
-                tags[way] = tag;
-                state = fill_next[state] as usize;
-            }
-        }
-        self.state = state as u16;
-        (hits, stream.len() as u64 - hits)
-    }
-
-    /// The tag resident in `way`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
-    pub fn tag_in_way(&self, way: usize) -> Option<u64> {
-        let tag = self.tags[way];
-        (self.valid & (1u128 << way) != 0).then_some(tag)
-    }
-
-    /// Drop all contents and return to the cold power-on state.
-    pub fn reset(&mut self) {
-        self.valid = 0;
-        self.state = 0;
-    }
-}
-
-/// A whole multi-set cache executing one compiled [`PermTable`] with
-/// flat storage: all sets' tags in a single slab, one `u16` state and
-/// one `u8` fill count per set, and the transition tables shared.
-///
-/// This is the table engine at realistic cache sizes. A per-set
-/// [`TableSet`] (or a [`Cache`](cachekit_sim::Cache) of boxed policies)
-/// scatters each set across its own heap allocations, so an interleaved
-/// access stream pays a chain of dependent cache misses per access; here
-/// a set's tags, state and fill count are three independent loads into
-/// three dense arrays.
-///
-/// The fill count stands in for a validity mask: the pure-access
-/// protocol fills ways in ascending order, so exactly ways
-/// `0..filled[set]` are valid. Like [`TableSet`], the engine supports
-/// pure access streams only (no invalidation or external eviction, which
-/// would break that invariant — and the table's, which encodes fill
-/// targets per state).
-#[derive(Debug, Clone)]
-pub struct TableCache {
-    table: Arc<PermTable>,
-    tags: Vec<u64>,
-    state: Vec<u16>,
-    filled: Vec<u8>,
-}
-
-impl TableCache {
-    /// Create a cold cache of `sets` sets executing `table`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` is zero.
-    pub fn new(table: Arc<PermTable>, sets: usize) -> Self {
-        assert!(sets >= 1, "a cache needs at least one set");
-        let assoc = table.associativity();
-        Self {
-            tags: vec![0; sets * assoc],
-            state: vec![0; sets],
-            filled: vec![0; sets],
-            table,
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Number of ways per set.
-    pub fn associativity(&self) -> usize {
-        self.table.associativity()
-    }
-
-    /// Look up `tag` in `set`; on a miss, install it. `evicted` in the
-    /// outcome carries the displaced tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    #[inline]
-    pub fn access(&mut self, set: usize, tag: u64) -> AccessOutcome {
-        let assoc = self.table.associativity();
-        let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
-        let st = self.state[set];
-        let filled = self.filled[set] as usize;
-        if let Some(way) = find_way(tags, filled_mask(filled), tag) {
-            self.state[set] = self.table.hit_next(st, way);
-            return AccessOutcome::Hit;
-        }
-        let way = self.table.fill_way[st as usize] as usize;
-        let evicted = if filled == assoc {
-            Some(tags[way])
-        } else {
-            debug_assert_eq!(way, filled, "warm-up fills ascend");
-            self.filled[set] = filled as u8 + 1;
-            None
-        };
-        tags[way] = tag;
-        self.state[set] = self.table.fill_next[st as usize];
-        AccessOutcome::Miss { evicted }
-    }
-
-    /// Run an interleaved stream of `(set, tag)` accesses, returning
-    /// `(hits, misses)`. Access-for-access identical to calling
-    /// [`access`](Self::access) per element, with the table rows hoisted
-    /// out of the loop: an access is the masked tag lookup and the two
-    /// table reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any set index is out of range.
-    pub fn access_many(&mut self, stream: &[(u32, u64)]) -> (u64, u64) {
-        let assoc = self.table.associativity();
-        let hit_rows = self.table.hit.as_slice();
-        let fill_way = self.table.fill_way.as_slice();
-        let fill_next = self.table.fill_next.as_slice();
-        let mut hits = 0u64;
-        for &(set, tag) in stream {
-            let set = set as usize;
-            let tags = &mut self.tags[set * assoc..(set + 1) * assoc];
-            let st = self.state[set] as usize;
-            let filled = self.filled[set] as usize;
-            if let Some(way) = find_way(tags, filled_mask(filled), tag) {
-                self.state[set] = hit_rows[st * assoc + way];
-                hits += 1;
-            } else {
-                let way = fill_way[st] as usize;
-                tags[way] = tag;
-                if filled < assoc {
-                    self.filled[set] = filled as u8 + 1;
-                }
-                self.state[set] = fill_next[st];
-            }
-        }
-        (hits, stream.len() as u64 - hits)
-    }
-
-    /// The tag resident in `way` of `set`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` or `way` is out of range.
-    pub fn tag_in_way(&self, set: usize, way: usize) -> Option<u64> {
-        let assoc = self.table.associativity();
-        assert!(way < assoc, "way {way} out of range");
-        let tag = self.tags[set * assoc + way];
-        (way < self.filled[set] as usize).then_some(tag)
-    }
-
-    /// Drop all contents and return every set to the cold state.
-    pub fn reset(&mut self) {
-        self.state.fill(0);
-        self.filled.fill(0);
-    }
-}
-
 /// [`ReplacementPolicy`] adapter over a compiled [`PermTable`], so the
 /// table engine can drive an ordinary [`Cache`](cachekit_sim::Cache)
 /// (dirty bits, write-backs and statistics come from the cache for
@@ -627,13 +371,17 @@ mod tests {
             .collect()
     }
 
+    fn table_set(table: Arc<PermTable>) -> CacheSet {
+        CacheSet::from_state(PolicyState::from_boxed(Box::new(TablePolicy::new(table))))
+    }
+
     fn assert_table_matches_set(kind: PolicyKind, assoc: usize) {
         let table = PermTable::compile(&kind.build_state(assoc, 0), MAX_STATE_BUDGET)
             .unwrap_or_else(|e| panic!("{kind:?} A={assoc}: {e}"));
-        let mut ts = TableSet::new(Arc::new(table));
+        let mut ts = table_set(Arc::new(table));
         let mut cs = CacheSet::from_state(kind.build_state(assoc, 0));
         for (i, &tag) in random_stream(assoc, 3000, 0xABBA).iter().enumerate() {
-            let a = ts.access(tag);
+            let a = ts.access_tag(tag);
             let b = cs.access_tag(tag);
             assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
         }
@@ -689,23 +437,12 @@ mod tests {
     fn from_spec_replays_the_permutation_interpreter() {
         let spec = PermutationSpec::lip(4);
         let table = Arc::new(PermTable::from_spec(&spec, MAX_STATE_BUDGET).unwrap());
-        let mut ts = TableSet::new(table);
+        let mut ts = table_set(table);
         let mut cs = CacheSet::from_state(PolicyState::from_boxed(Box::new(
             PermutationPolicy::new(spec),
         )));
         for &tag in &random_stream(4, 2000, 0x11F0) {
-            assert_eq!(ts.access(tag), cs.access_tag(tag));
-        }
-    }
-
-    #[test]
-    fn table_policy_in_a_cache_set_matches_the_table_set() {
-        let table = table_for_kind(PolicyKind::Lru, 4).unwrap();
-        let mut ts = TableSet::new(table.clone());
-        let mut cs =
-            CacheSet::from_state(PolicyState::from_boxed(Box::new(TablePolicy::new(table))));
-        for &tag in &random_stream(4, 2000, 0x7AB7) {
-            assert_eq!(ts.access(tag), cs.access_tag(tag));
+            assert_eq!(ts.access_tag(tag), cs.access_tag(tag));
         }
     }
 
@@ -716,100 +453,5 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the table");
         assert!(table_for_kind(PolicyKind::Bip { throttle: 32 }, 8).is_none());
         assert!(table_for_kind(PolicyKind::Slru { protected: 9 }, 8).is_none());
-    }
-
-    #[test]
-    fn table_cache_matches_independent_table_sets() {
-        for (kind, assoc) in [
-            (PolicyKind::Lru, 8),
-            (PolicyKind::Fifo, 8),
-            (PolicyKind::TreePlru, 8),
-            (PolicyKind::Lru, 4),
-        ] {
-            let table = table_for_kind(kind, assoc).unwrap();
-            const SETS: usize = 32;
-            let mut cache = TableCache::new(table.clone(), SETS);
-            let mut sets: Vec<TableSet> = (0..SETS).map(|_| TableSet::new(table.clone())).collect();
-            let mut rng = Prng::seed_from_u64(0x5E75);
-            let stream: Vec<(u32, u64)> = (0..20_000)
-                .map(|_| {
-                    (
-                        rng.gen_range(0..SETS as u64) as u32,
-                        rng.gen_range(0..(3 * assoc as u64)),
-                    )
-                })
-                .collect();
-            for (i, &(set, tag)) in stream.iter().enumerate() {
-                let a = cache.access(set as usize, tag);
-                let b = sets[set as usize].access(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for (s, ts) in sets.iter().enumerate() {
-                for w in 0..assoc {
-                    assert_eq!(cache.tag_in_way(s, w), ts.tag_in_way(w), "set {s} way {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_cache_access_many_matches_per_access_calls() {
-        let table = table_for_kind(PolicyKind::Lru, 8).unwrap();
-        const SETS: usize = 64;
-        let mut batched = TableCache::new(table.clone(), SETS);
-        let mut serial = TableCache::new(table, SETS);
-        let mut rng = Prng::seed_from_u64(0xBA7C);
-        let stream: Vec<(u32, u64)> = (0..30_000)
-            .map(|_| {
-                (
-                    rng.gen_range(0..SETS as u64) as u32,
-                    rng.gen_range(0..24u64),
-                )
-            })
-            .collect();
-        let (hits, misses) = batched.access_many(&stream);
-        let mut serial_hits = 0u64;
-        for &(set, tag) in &stream {
-            if serial.access(set as usize, tag).is_hit() {
-                serial_hits += 1;
-            }
-        }
-        assert_eq!(hits, serial_hits);
-        assert_eq!(hits + misses, stream.len() as u64);
-        for s in 0..SETS {
-            for w in 0..8 {
-                assert_eq!(batched.tag_in_way(s, w), serial.tag_in_way(s, w));
-            }
-        }
-    }
-
-    #[test]
-    fn table_cache_reset_returns_to_cold() {
-        let table = table_for_kind(PolicyKind::TreePlru, 4).unwrap();
-        let mut cache = TableCache::new(table, 4);
-        let stream: Vec<(u32, u64)> = random_stream(4, 200, 9)
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| ((i % 4) as u32, t))
-            .collect();
-        let cold = cache.access_many(&stream);
-        cache.reset();
-        assert_eq!(cache.access_many(&stream), cold);
-    }
-
-    #[test]
-    fn table_set_reset_returns_to_cold() {
-        let table = table_for_kind(PolicyKind::Lru, 4).unwrap();
-        let mut ts = TableSet::new(table);
-        let cold: Vec<_> = random_stream(4, 50, 3)
-            .iter()
-            .map(|&t| ts.access(t))
-            .collect();
-        ts.reset();
-        let again: Vec<_> = random_stream(4, 50, 3)
-            .iter()
-            .map(|&t| ts.access(t))
-            .collect();
-        assert_eq!(cold, again);
     }
 }

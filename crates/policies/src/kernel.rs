@@ -36,10 +36,10 @@
 //!   in 16 KiB of L1) via the [`TreeWord`] trait.
 //!
 //! [`KernelCache`] is the many-set engine the throughput benchmark
-//! measures; [`run_set_stream`] is the single-set entry point
-//! `cachekit-sim`'s `CacheSet::access_many` routes through. Both are
-//! bit-identical to the enum engine — `tests/engine_differential.rs`
-//! pins boxed ≡ enum ≡ table ≡ kernel.
+//! times as the inner-loop ceiling; [`run_set_stream`] is the
+//! single-set entry point through which `cachekit-sim`'s
+//! `Cache::access_many` runs each set. Both are bit-identical to the
+//! enum engine — `tests/engine_differential.rs` pins kernel ≡ enum.
 
 use crate::tree_plru::shape_for;
 use crate::{PolicyKind, PolicyState, ReplacementPolicy};
@@ -867,36 +867,6 @@ impl<K: LaneKernel> Slab<K> {
     pub fn lines(&self) -> u64 {
         self.filled.iter().map(|&f| f as u64).sum()
     }
-
-    /// Import a set's tags, fill count and policy state (packed into the
-    /// kernel word). Returns `false` if `state` is not this kernel's
-    /// policy at this associativity.
-    pub fn load_set(&mut self, set: usize, tags: &[u64], filled: u8, state: &PolicyState) -> bool {
-        let Some(w) = self.kern.pack(state) else {
-            return false;
-        };
-        let r = self.row(set);
-        self.tags[r..r + K::ASSOC].copy_from_slice(&tags[..K::ASSOC]);
-        self.words[set] = w;
-        let was_full = self.filled[set] as usize == K::ASSOC;
-        let now_full = filled as usize == K::ASSOC;
-        match (was_full, now_full) {
-            (false, true) => self.full_sets += 1,
-            (true, false) => self.full_sets -= 1,
-            _ => {}
-        }
-        self.filled[set] = filled;
-        true
-    }
-
-    /// Export a set back: tags into `tags`, the policy word into
-    /// `state`. Returns the fill count.
-    pub fn store_set(&self, set: usize, tags: &mut [u64], state: &mut PolicyState) -> u8 {
-        let r = self.row(set);
-        tags[..K::ASSOC].copy_from_slice(&self.tags[r..r + K::ASSOC]);
-        self.kern.unpack(self.words[set], state);
-        self.filled[set]
-    }
 }
 
 macro_rules! kernel_combos {
@@ -1006,33 +976,6 @@ macro_rules! define_kernel_cache {
                     $(Self::$variant(s) => s.lines(),)*
                 }
             }
-
-            /// Import a set (tags, fill count, packed policy state).
-            /// Returns `false` if `state` doesn't match the kernel.
-            pub fn load_set(
-                &mut self,
-                set: usize,
-                tags: &[u64],
-                filled: u8,
-                state: &PolicyState,
-            ) -> bool {
-                match self {
-                    $(Self::$variant(s) => s.load_set(set, tags, filled, state),)*
-                }
-            }
-
-            /// Export a set back into caller-owned tags and state.
-            /// Returns the fill count.
-            pub fn store_set(
-                &self,
-                set: usize,
-                tags: &mut [u64],
-                state: &mut PolicyState,
-            ) -> u8 {
-                match self {
-                    $(Self::$variant(s) => s.store_set(set, tags, state),)*
-                }
-            }
         }
     };
 }
@@ -1047,9 +990,10 @@ pub fn kernel_available(kind: PolicyKind, assoc: usize) -> bool {
 /// Replay a read stream against **one** set through the matching
 /// monomorphized kernel: the policy state is packed into a kernel word,
 /// the loop runs branchless over the caller's tag row, and the word is
-/// unpacked back. Returns `None` (caller falls back to the generic
-/// path) when no kernel matches the state's policy/associativity or the
-/// set has invalidation holes (`valid` not a dense prefix).
+/// unpacked back. Returns `None` (the caller replays the stream one
+/// access at a time) when no kernel matches the state's
+/// policy/associativity or the set has invalidation holes (`valid` not
+/// a dense prefix).
 ///
 /// Mirrors the cache-set protocol exactly: misses fill the lowest
 /// invalid way while warming, then the policy victim; a refill clears

@@ -66,7 +66,7 @@ pub use qlru::Qlru;
 pub use random::RandomPolicy;
 pub use slru::Slru;
 pub use srrip::{Brrip, Srrip};
-pub use state::{PolicyState, StateVisitor};
+pub use state::PolicyState;
 pub use tree_plru::TreePlru;
 
 pub mod conformance;

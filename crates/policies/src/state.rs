@@ -121,45 +121,6 @@ impl PolicyState {
             PolicyState::Other(_) => "other",
         }
     }
-
-    /// Visit the concrete policy behind the enum with a generic visitor.
-    ///
-    /// This is the monomorphization hook for batched loops: the visitor's
-    /// `visit` is instantiated once per concrete policy type, so the body
-    /// runs with the policy's methods statically dispatched (and inlined)
-    /// rather than matched per call. `Other` visits the boxed trait
-    /// object and keeps dynamic dispatch.
-    pub fn visit_concrete<V: StateVisitor>(&mut self, visitor: V) -> V::Output {
-        // The boxed variants deref explicitly: `Box<Bip>` itself does not
-        // implement `ReplacementPolicy`, the policy inside it does.
-        match self {
-            PolicyState::Lru(p) => visitor.visit(p),
-            PolicyState::Fifo(p) => visitor.visit(p),
-            PolicyState::TreePlru(p) => visitor.visit(p),
-            PolicyState::BitPlru(p) => visitor.visit(p),
-            PolicyState::Nru(p) => visitor.visit(p),
-            PolicyState::Clock(p) => visitor.visit(p),
-            PolicyState::Lip(p) => visitor.visit(p),
-            PolicyState::Slru(p) => visitor.visit(p),
-            PolicyState::Bip(p) => visitor.visit(&mut **p),
-            PolicyState::Srrip(p) => visitor.visit(p),
-            PolicyState::Qlru(p) => visitor.visit(p),
-            PolicyState::Brrip(p) => visitor.visit(&mut **p),
-            PolicyState::Random(p) => visitor.visit(&mut **p),
-            PolicyState::LazyLru(p) => visitor.visit(p),
-            PolicyState::Other(p) => visitor.visit(&mut **p),
-        }
-    }
-}
-
-/// A generic visitor over the concrete policy inside a [`PolicyState`];
-/// see [`PolicyState::visit_concrete`].
-pub trait StateVisitor {
-    /// Result returned by the visit.
-    type Output;
-    /// Called with the concrete policy (statically dispatched for the
-    /// catalog variants).
-    fn visit<P: ReplacementPolicy + ?Sized>(self, policy: &mut P) -> Self::Output;
 }
 
 impl ReplacementPolicy for PolicyState {
@@ -297,21 +258,5 @@ mod tests {
             assert_eq!(buf[0], 0xAA, "existing bytes untouched");
             assert_eq!(buf[1..], state.state_key(), "kind {kind:?}");
         }
-    }
-
-    #[test]
-    fn visitor_reaches_the_concrete_policy() {
-        struct Victim;
-        impl StateVisitor for Victim {
-            type Output = usize;
-            fn visit<P: ReplacementPolicy + ?Sized>(self, p: &mut P) -> usize {
-                p.victim()
-            }
-        }
-        let mut state = PolicyKind::Fifo.build_state(4, 0);
-        for w in 0..4 {
-            state.on_fill(w);
-        }
-        assert_eq!(state.visit_concrete(Victim), 0);
     }
 }

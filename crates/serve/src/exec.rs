@@ -27,6 +27,8 @@ use cachekit_core::perm::{
     derive_permutation_spec, lazy_table_for_kind, table_for_kind, LazyTablePolicy, TablePolicy,
 };
 use cachekit_hw::{fleet, CacheLevel, LevelOracle};
+use cachekit_policies::kernel::kernel_available;
+use cachekit_policies::PolicyKind;
 use cachekit_sim::{Cache, CacheConfig, Containment, Hierarchy};
 use cachekit_trace::{io, workloads};
 
@@ -178,6 +180,62 @@ fn run_infer(req: &InferRequest) -> Json {
     Json::object(fields)
 }
 
+/// Build the cache for one simulated level and name its engine:
+/// `"kernel"`, `"table"`, `"lazy_table"` or `"enum"`.
+///
+/// `containment` is `None` for a flat `simulate` request, or the
+/// containment of the hierarchy the level belongs to; `writes` is the
+/// request's write fraction, and only a flat cache reads it. The pick
+/// follows policy, associativity, writes and containment, never measured
+/// speed, so it is a pure function of the request and served bodies stay
+/// cacheable. Every engine is bit-identical to the enum engine:
+///
+/// * a flat read-only request on a pair with a batch kernel runs the
+///   kernel through [`Cache::access_many`];
+/// * a flat cache, or a NINE level, whose reachable state space fits the
+///   eager budget runs on [`TablePolicy`]. It has no invalidate
+///   transition, and NINE never pulls a line out from under a level;
+/// * a flat cache of any other deterministic kind runs on
+///   [`LazyTablePolicy`];
+/// * an inclusive or exclusive level runs on [`LazyTablePolicy`], whose
+///   event alphabet includes invalidation, when the eager table
+///   compiles: a proxy for a state space small enough that the shared
+///   memo warms once and stays resident in a long-lived server;
+/// * everything else runs on the inline enum engine.
+pub fn select(
+    policy: PolicyKind,
+    config: CacheConfig,
+    writes: f64,
+    containment: Option<Containment>,
+) -> (Cache, &'static str) {
+    let assoc = config.associativity();
+    if containment.is_none() && writes == 0.0 && kernel_available(policy, assoc) {
+        return (Cache::new(config, policy), "kernel");
+    }
+    let eager = table_for_kind(policy, assoc);
+    let lazy = match (containment, eager) {
+        (None | Some(Containment::Nine), Some(table)) => {
+            let cache = Cache::with_policy_factory(config, policy.label(), |_| {
+                Box::new(TablePolicy::new(table.clone()))
+            });
+            return (cache, "table");
+        }
+        (None, None) | (Some(Containment::Inclusive | Containment::Exclusive), Some(_)) => {
+            lazy_table_for_kind(policy, assoc)
+        }
+        (Some(_), None) => None,
+    };
+    match lazy {
+        Some(table) => {
+            let cache = Cache::with_policy_factory(config, policy.label(), |_| {
+                Box::new(LazyTablePolicy::new(table.clone()))
+            });
+            (cache, "lazy_table")
+        }
+        None => (Cache::new(config, policy), "enum"),
+    }
+}
+
 fn run_simulate(req: &SimulateRequest) -> Json {
     let config = match CacheConfig::new(req.capacity, req.assoc, req.line) {
         Ok(c) => c,
@@ -187,44 +245,14 @@ fn run_simulate(req: &SimulateRequest) -> Json {
     else {
         return unknown_workload("simulate", &req.workload);
     };
-    // Engine auto-pick, most specialized first. Pure-read workloads on a
-    // (policy, assoc) pair with a monomorphized batch kernel run through
-    // `Cache::access_many` (SoA slab + SWAR probe). Otherwise deterministic
-    // kinds whose reachable state space fits the eager table budget run on
-    // the compiled-table engine (one lookup per access); kinds that blow
-    // the eager budget but are still deterministic run on the lazy table
-    // (states interned on demand); everything else runs on the inline enum
-    // engine. All four are bit-identical, and the choice is a pure function
-    // of (policy, assoc, writes == 0), so bodies stay cacheable.
-    let use_kernel = req.writes == 0.0
-        && cachekit_policies::kernel::kernel_available(req.policy, config.associativity());
-    let (engine, kernel, stats) = if use_kernel {
-        let mut cache = Cache::new(config, req.policy);
-        let name = cache.batch_kernel();
+    let (mut cache, engine) = select(req.policy, config, req.writes, None);
+    let (kernel, stats) = if engine == "kernel" {
         // With no writes every operation is a read of the trace address.
         cache.access_many(&workload.trace);
-        ("kernel", name, cache.stats())
+        (cache.batch_kernel(), cache.stats())
     } else {
-        let (mut cache, engine) = match table_for_kind(req.policy, config.associativity()) {
-            Some(table) => (
-                Cache::with_policy_factory(config, req.policy.label(), |_| {
-                    Box::new(TablePolicy::new(table.clone()))
-                }),
-                "table",
-            ),
-            None => match lazy_table_for_kind(req.policy, config.associativity()) {
-                Some(table) => (
-                    Cache::with_policy_factory(config, req.policy.label(), |_| {
-                        Box::new(LazyTablePolicy::new(table.clone()))
-                    }),
-                    "lazy_table",
-                ),
-                None => (Cache::new(config, req.policy), "enum"),
-            },
-        };
         let ops = io::with_writes_iter(workload.trace.iter().copied(), req.writes, req.seed);
-        let stats = cache.run_ops(ops.map(|op| (op.addr, op.write)));
-        (engine, None, stats)
+        (None, cache.run_ops(ops.map(|op| (op.addr, op.write))))
     };
     Json::object(vec![
         ("type", Json::from("simulate")),
@@ -258,48 +286,9 @@ fn run_simulate_hierarchy(req: &SimulateHierarchyRequest) -> Json {
             Ok(c) => c,
             Err(e) => return error_body("simulate_hierarchy", format!("invalid geometry: {e}")),
         };
-        // The eagerly-compiled table engine cannot serve back-invalidation
-        // or victim extraction (`TablePolicy` has no invalidate
-        // transition), so levels run on it only under NINE containment,
-        // where lines are never pulled out from under a level. Under
-        // Inclusive/Exclusive the lazy table steps in: its generalized
-        // event alphabet includes `invalidate(w)` and fills at arbitrary
-        // ways, so table-family execution is legal under every containment
-        // policy. We gate the lazy pick on eager compilability — a proxy
-        // for "the reachable state space is small", so the memo warms once
-        // and stays resident — and fall back to the enum engine otherwise.
-        let eager = table_for_kind(level.policy, config.associativity());
-        if req.containment == Containment::Nine {
-            match eager {
-                Some(table) => {
-                    caches.push(Cache::with_policy_factory(
-                        config,
-                        level.policy.label(),
-                        |_| Box::new(TablePolicy::new(table.clone())),
-                    ));
-                    engines.push("table");
-                }
-                None => {
-                    caches.push(Cache::new(config, level.policy));
-                    engines.push("enum");
-                }
-            }
-        } else {
-            match eager.and_then(|_| lazy_table_for_kind(level.policy, config.associativity())) {
-                Some(table) => {
-                    caches.push(Cache::with_policy_factory(
-                        config,
-                        level.policy.label(),
-                        |_| Box::new(LazyTablePolicy::new(table.clone())),
-                    ));
-                    engines.push("lazy_table");
-                }
-                None => {
-                    caches.push(Cache::new(config, level.policy));
-                    engines.push("enum");
-                }
-            }
-        }
+        let (cache, engine) = select(level.policy, config, req.writes, Some(req.containment));
+        caches.push(cache);
+        engines.push(engine);
     }
     let outer_capacity = req
         .levels
@@ -645,6 +634,101 @@ mod tests {
             }
             assert_eq!(tabled.occupancy(), enumed.occupancy(), "{kind:?}");
         }
+    }
+
+    /// Serve's engine pick, body by body: the 13 differential kinds plus
+    /// QLRU-1 (which sim_cold serves), at 4, 8 and 16 ways, as a flat
+    /// read, a flat request with writes, and a one-level hierarchy under
+    /// NINE, inclusive and exclusive containment. Each row lists those
+    /// five `engine` labels in that order; a flat body that names a
+    /// batch kernel shows it in parentheses.
+    #[test]
+    fn engine_pick_is_pinned_for_every_kind_assoc_and_use() {
+        const EXPECTED: &[&str] = &[
+            "LRU@4: kernel(lru4/swar32) table table lazy_table lazy_table",
+            "LRU@8: kernel(lru8/swar64) table table lazy_table lazy_table",
+            "LRU@16: kernel(lru16/swar128) lazy_table enum enum enum",
+            "FIFO@4: kernel(fifo4/swar32) table table lazy_table lazy_table",
+            "FIFO@8: kernel(fifo8/swar64) table table lazy_table lazy_table",
+            "FIFO@16: kernel(fifo16/swar128) table table lazy_table lazy_table",
+            "PLRU@4: kernel(plru4/bits3) table table lazy_table lazy_table",
+            "PLRU@8: kernel(plru8/bits7) table table lazy_table lazy_table",
+            "PLRU@16: kernel(plru16/bits15) lazy_table enum enum enum",
+            "BitPLRU@4: table table table lazy_table lazy_table",
+            "BitPLRU@8: table table table lazy_table lazy_table",
+            "BitPLRU@16: lazy_table lazy_table enum enum enum",
+            "NRU@4: kernel(nru4/bits4) table table lazy_table lazy_table",
+            "NRU@8: kernel(nru8/bits8) table table lazy_table lazy_table",
+            "NRU@16: kernel(nru16/bits16) table table lazy_table lazy_table",
+            "CLOCK@4: table table table lazy_table lazy_table",
+            "CLOCK@8: table table table lazy_table lazy_table",
+            "CLOCK@16: lazy_table lazy_table enum enum enum",
+            "LIP@4: table table table lazy_table lazy_table",
+            "LIP@8: table table table lazy_table lazy_table",
+            "LIP@16: lazy_table lazy_table enum enum enum",
+            "SRRIP-2@4: table table table lazy_table lazy_table",
+            "SRRIP-2@8: table table table lazy_table lazy_table",
+            "SRRIP-2@16: lazy_table lazy_table enum enum enum",
+            "LazyLRU@4: table table table lazy_table lazy_table",
+            "LazyLRU@8: table table table lazy_table lazy_table",
+            "LazyLRU@16: lazy_table lazy_table enum enum enum",
+            "BIP-1/32@4: enum enum enum enum enum",
+            "BIP-1/32@8: enum enum enum enum enum",
+            "BIP-1/32@16: enum enum enum enum enum",
+            "BRRIP-2-1/32@4: enum enum enum enum enum",
+            "BRRIP-2-1/32@8: enum enum enum enum enum",
+            "BRRIP-2-1/32@16: enum enum enum enum enum",
+            "Random@4: enum enum enum enum enum",
+            "Random@8: enum enum enum enum enum",
+            "Random@16: enum enum enum enum enum",
+            "SLRU-2@4: table table table lazy_table lazy_table",
+            "SLRU-2@8: table table table lazy_table lazy_table",
+            "SLRU-2@16: lazy_table lazy_table enum enum enum",
+            "QLRU-1@4: table table table lazy_table lazy_table",
+            "QLRU-1@8: table table table lazy_table lazy_table",
+            "QLRU-1@16: lazy_table lazy_table enum enum enum",
+        ];
+        let mut kinds = cachekit_policies::PolicyKind::differential_kinds();
+        kinds.push(cachekit_policies::PolicyKind::Qlru { insert: 1 });
+        let label = |body: &Json| {
+            let engine = body.get("engine").and_then(Json::as_str);
+            let engine = engine.unwrap_or_else(|| panic!("no engine in {}", body.to_compact()));
+            match body.get("kernel").and_then(Json::as_str) {
+                Some(kernel) => format!("{engine}({kernel})"),
+                None => engine.to_string(),
+            }
+        };
+        let mut rows = Vec::new();
+        for kind in kinds {
+            let policy = kind.label();
+            for assoc in [4usize, 8, 16] {
+                let mut row = format!("{policy}@{assoc}:");
+                for writes in ["0", "0.2"] {
+                    let body = PipelineExecutor.execute(&parse(&format!(
+                        r#"{{"type":"simulate","policy":"{policy}","capacity":4096,
+                            "assoc":{assoc},"workload":"seq_stream","writes":{writes}}}"#
+                    )));
+                    row += &format!(" {}", label(&body));
+                }
+                for containment in ["nine", "inclusive", "exclusive"] {
+                    let body = PipelineExecutor.execute(&parse(&format!(
+                        r#"{{"type":"simulate_hierarchy","workload":"seq_stream",
+                            "containment":"{containment}","writes":0.2,"levels":[
+                            {{"policy":"{policy}","capacity":4096,"assoc":{assoc}}}]}}"#
+                    )));
+                    let levels = body.get("levels").and_then(Json::as_array);
+                    let level = levels.and_then(|l| l.first());
+                    let level =
+                        level.unwrap_or_else(|| panic!("no level in {}", body.to_compact()));
+                    row += &format!(" {}", label(level));
+                }
+                rows.push(row);
+            }
+        }
+        for r in &rows {
+            eprintln!("ROW {r:?},");
+        }
+        assert_eq!(rows, EXPECTED);
     }
 
     #[test]

@@ -65,7 +65,8 @@ pub struct Cache {
     /// set" (duplicates arise when a set is emptied and refilled).
     filled_sets: Vec<usize>,
     /// Whether some set holds a boxed [`PolicyState::Other`] policy, which
-    /// may share state with other sets (see [`access_many`](Self::access_many)).
+    /// no batch kernel runs and which may share state with other sets
+    /// (see [`access_many`](Self::access_many)).
     boxed: bool,
     stats: CacheStats,
     policy_label: String,
@@ -370,9 +371,13 @@ impl Cache {
 
     /// The batch kernel `access_many` will use, if the cache's policy
     /// and associativity have one compiled (e.g. `"lru16/swar128"`) —
-    /// `None` means the batch path runs the generic enum loop. Recorded
-    /// by the serving layer and the benchmarks as engine metadata.
+    /// `None` means `access_many` runs one access at a time. A cache
+    /// holding boxed policies has none, whatever its label. Recorded by
+    /// the serving layer and the benchmarks as engine metadata.
     pub fn batch_kernel(&self) -> Option<&'static str> {
+        if self.boxed {
+            return None;
+        }
         let kind = PolicyKind::parse_label(&self.policy_label)?;
         cachekit_policies::kernel::KernelCache::kernel_name(kind, self.config.associativity())
     }
@@ -383,21 +388,23 @@ impl Cache {
     /// Behaviour (contents, replacement state, hit/miss/eviction and
     /// write-back counts) is identical to calling [`access`](Self::access)
     /// per element.
-    /// Catalog policies keep all their state inside their set, so the
-    /// stream is bucketed per set — which preserves program order within
-    /// each set — and each set replays its run through
-    /// [`CacheSet::access_many`], hitting the compiled batch kernel when
-    /// the policy has one (see [`batch_kernel`](Self::batch_kernel)).
     ///
-    /// Boxed policies ([`PolicyState::Other`], e.g. from
-    /// [`with_policy_factory`](Self::with_policy_factory)) may share
-    /// state across sets: the DIP and DRRIP families update one PSEL
-    /// counter from their leader sets, and bucketing would reorder those
-    /// updates. A cache holding any boxed policy therefore runs the
-    /// stream in program order, one [`access`](Self::access) at a time
-    /// (no batch kernel exists for boxed policies anyway).
+    /// A cache with a [`batch_kernel`](Self::batch_kernel) buckets the
+    /// stream per set — which preserves program order within each set —
+    /// and each set replays its run through the monomorphized kernel; a
+    /// set with invalidation holes replays its run one access at a time.
+    /// Bucketing is sound because catalog policies keep all their state
+    /// inside their set.
+    ///
+    /// Every other cache runs the stream in program order, one
+    /// [`access`](Self::access) at a time. That includes every cache
+    /// holding boxed policies ([`PolicyState::Other`], e.g. from
+    /// [`with_policy_factory`](Self::with_policy_factory)), which may
+    /// share state across sets: the DIP and DRRIP families update one
+    /// PSEL counter from their leader sets, and bucketing would reorder
+    /// those updates.
     pub fn access_many(&mut self, addrs: &[u64]) -> (u64, u64) {
-        if self.boxed {
+        if self.batch_kernel().is_none() {
             let delta = self.run_trace(addrs.iter().copied());
             return (delta.hits, delta.misses);
         }
@@ -454,6 +461,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachekit_policies::Lru;
 
     fn small_lru() -> Cache {
         Cache::new(CacheConfig::new(1024, 2, 64).unwrap(), PolicyKind::Lru)
@@ -573,25 +581,38 @@ mod tests {
 
     #[test]
     fn access_many_matches_per_access_calls_and_stats() {
-        // LRU@2 and CLOCK@8 have no batch kernel; LRU@4 and PLRU@8 do. All
+        // LRU@2, CLOCK@8 and LazyLRU@8 have no batch kernel; LRU@4 and
+        // PLRU@8 do. LRU@4 also runs with a hole invalidated in every set
+        // first, where the kernel falls back to per-access replay. All
         // must agree with the per-access path on every statistic, from a
         // cold cache and from one whose every line was written first (the
         // reads then evict dirty lines, so write-backs must be counted).
-        for (kind, assoc) in [
-            (PolicyKind::Lru, 2usize),
-            (PolicyKind::Lru, 4),
-            (PolicyKind::TreePlru, 8),
-            (PolicyKind::Clock, 8),
+        for (kind, assoc, holes) in [
+            (PolicyKind::Lru, 2usize, false),
+            (PolicyKind::Lru, 4, false),
+            (PolicyKind::Lru, 4, true),
+            (PolicyKind::TreePlru, 8, false),
+            (PolicyKind::Clock, 8, false),
+            (PolicyKind::LazyLru, 8, false),
         ] {
             for dirty_first in [false, true] {
-                let case = format!("{kind:?}@{assoc} dirty_first={dirty_first}");
+                let case = format!("{kind:?}@{assoc} holes={holes} dirty_first={dirty_first}");
                 let cfg = CacheConfig::new(64 * assoc as u64 * 8, assoc, 64).unwrap();
                 let mut batched = Cache::new(cfg, kind);
                 let mut serial = Cache::new(cfg, kind);
-                if dirty_first {
-                    for line in 0..cfg.capacity() / 64 {
-                        batched.write(line * 64);
-                        serial.write(line * 64);
+                for cache in [&mut batched, &mut serial] {
+                    if dirty_first || holes {
+                        for line in 0..cfg.capacity() / 64 {
+                            cache.access_op(line * 64, dirty_first);
+                        }
+                    }
+                    if holes {
+                        // Line `l` of the dense fill sits in way `l / sets`
+                        // of its set: drop way 1 everywhere.
+                        let sets = cfg.num_sets();
+                        for line in sets..2 * sets {
+                            assert!(cache.invalidate(line * 64), "{case}");
+                        }
                     }
                 }
                 let addrs: Vec<u64> = (0..4000u64)
@@ -677,6 +698,11 @@ mod tests {
         assert_eq!(kernels.batch_kernel(), Some("lru16/swar128"));
         let none = Cache::new(CacheConfig::new(4096, 2, 64).unwrap(), PolicyKind::Lru);
         assert_eq!(none.batch_kernel(), None);
+        // Boxed policies run one access at a time whatever their label
+        // (serve labels its table-adapter caches with the catalog name).
+        let cfg = CacheConfig::new(32768, 8, 64).unwrap();
+        let boxed = Cache::with_policy_factory(cfg, "LRU", |_| Box::new(Lru::new(8)));
+        assert_eq!(boxed.batch_kernel(), None);
     }
 
     #[test]

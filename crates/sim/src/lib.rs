@@ -50,5 +50,5 @@ pub use hierarchy::{
 pub use parallel::{
     effective_jobs, par_map, sweep_parallel, sweep_parallel_jobs, PoolClosed, WorkerPool,
 };
-pub use set::{find_way, CacheSet};
+pub use set::CacheSet;
 pub use stats::CacheStats;

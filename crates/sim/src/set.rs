@@ -1,6 +1,6 @@
 //! A single cache set: tags, validity and replacement state.
 
-use cachekit_policies::{PolicyState, ReplacementPolicy, StateVisitor};
+use cachekit_policies::{PolicyState, ReplacementPolicy};
 
 /// One set of a set-associative cache.
 ///
@@ -125,20 +125,18 @@ fn lowest_way(hits: u64) -> Option<usize> {
 }
 
 /// The lowest way of `row` that holds `tag` and whose bit is set in
-/// `valid` — the way lookup every engine shares.
+/// `valid`: the lookup of a set whose row is too wide to store inline.
 ///
 /// The whole row is compared into a bitmask (64 ways at a time), ANDed
 /// with `valid` and the lowest bit taken, so full and partially filled
 /// sets take the same path and a stale tag left in an invalidated way
-/// never matches. Each caller masks with its own fill state: a
-/// [`CacheSet`]'s validity bits, or the low `filled` bits of a table
-/// engine that fills its ways in ascending order.
+/// never matches.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if `row` is longer than 128 ways.
 #[inline]
-pub fn find_way(row: &[u64], valid: u128, tag: u64) -> Option<usize> {
+fn find_way(row: &[u64], valid: u128, tag: u64) -> Option<usize> {
     debug_assert!(row.len() <= 128);
     let mut base = 0;
     for chunk in row.chunks(64) {
@@ -148,46 +146,6 @@ pub fn find_way(row: &[u64], valid: u128, tag: u64) -> Option<usize> {
         base += 64;
     }
     None
-}
-
-/// Batched read-only access loop, monomorphized per concrete policy via
-/// [`PolicyState::visit_concrete`] so the policy update inlines into the
-/// tag-scan loop.
-struct BatchAccess<'a> {
-    tags: &'a mut TagArray,
-    valid: &'a mut u128,
-    dirty: &'a mut u128,
-    stream: &'a [u64],
-}
-
-impl StateVisitor for BatchAccess<'_> {
-    type Output = (u64, u64);
-
-    fn visit<P: ReplacementPolicy + ?Sized>(self, policy: &mut P) -> (u64, u64) {
-        let assoc = self.tags.len();
-        let mut hits = 0u64;
-        for &tag in self.stream {
-            if let Some(way) = self.tags.find(*self.valid, tag) {
-                policy.on_hit(way);
-                hits += 1;
-                continue;
-            }
-            // Fills target the lowest invalid way while one exists, and
-            // the policy's victim once the set is full.
-            let invalid = (!*self.valid).trailing_zeros() as usize;
-            let way = if invalid < assoc {
-                invalid
-            } else {
-                policy.victim()
-            };
-            let bit = 1u128 << way;
-            self.tags[way] = tag;
-            *self.valid |= bit;
-            *self.dirty &= !bit;
-            policy.on_fill(way);
-        }
-        (hits, self.stream.len() as u64 - hits)
-    }
 }
 
 impl CacheSet {
@@ -320,14 +278,12 @@ impl CacheSet {
     /// returning `(hits, misses)`.
     ///
     /// Behaviour is access-for-access identical to calling
-    /// [`access_tag`](Self::access_tag) per element. Dispatch is tiered:
-    /// policies with a compiled batch kernel (LRU/FIFO/PLRU/NRU at
-    /// associativity 4/8/16, see `cachekit_policies::kernel`) run the
-    /// monomorphized SWAR loop over the raw tag array; everything else
-    /// takes the per-policy monomorphized loop via
-    /// [`PolicyState::visit_concrete`]. This is the engine the
-    /// throughput benchmarks drive.
-    pub fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
+    /// [`access_tag`](Self::access_tag) per element. Policies with a
+    /// compiled batch kernel (LRU/FIFO/PLRU/NRU at associativity 4/8/16,
+    /// see `cachekit_policies::kernel`) run the monomorphized loop over
+    /// the raw tag array; a set with invalidation holes, or a policy
+    /// without a kernel, replays the stream one access at a time.
+    pub(crate) fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
         let CacheSet {
             tags,
             valid,
@@ -339,12 +295,11 @@ impl CacheSet {
         {
             return counts;
         }
-        policy.visit_concrete(BatchAccess {
-            tags,
-            valid,
-            dirty,
-            stream,
-        })
+        let hits = stream
+            .iter()
+            .filter(|&&tag| matches!(self.access(tag), SetOutcome::Hit { .. }))
+            .count() as u64;
+        (hits, stream.len() as u64 - hits)
     }
 
     /// Whether the line holding `tag` is dirty.
@@ -390,7 +345,7 @@ impl CacheSet {
     ///
     /// One masked lookup whatever the fill state: the tag row is
     /// compared into a bitmask, ANDed with the validity bits and the
-    /// lowest way taken (see [`find_way`]).
+    /// lowest way taken.
     #[inline]
     pub fn way_of(&self, tag: u64) -> Option<usize> {
         self.tags.find(self.valid, tag)

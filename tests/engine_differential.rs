@@ -1,16 +1,30 @@
-//! Cross-engine differential suite: the three policy execution engines
-//! (boxed trait objects, the inline enum, compiled transition tables)
-//! must be **bit-identical** — same hits and misses, same victims, same
-//! final set contents — on every differential policy kind.
+//! Cross-engine differential suite: every policy execution engine must
+//! be **bit-identical** to the enum engine — same hits and misses, same
+//! victims, same final set contents — on every differential policy kind.
+//! The reference is always a `CacheSet` over the inline enum state,
+//! driven one access at a time, except where noted.
 //!
-//! The boxed engine here is a faithful local replica of the
-//! pre-refactor cache set (array-of-`Option` tags driving concrete
-//! policies behind `Box<dyn ReplacementPolicy>`), so the suite pins the
-//! refactor's semantics to the original substrate, not to itself.
+//! | subject | kinds × ways | test |
+//! |---------|--------------|------|
+//! | boxed replica of the pre-refactor set | 13 differential kinds × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
+//! | `CacheSet` over `TablePolicy` | every pair whose eager table compiles; a must-compile list | `table_engine_is_bit_identical_where_it_compiles` |
+//! | `CacheSet` over `LazyTablePolicy` | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_for_every_deterministic_kind` |
+//! | the same, with invalidations interleaved | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_under_invalidation` |
+//! | `CacheSet`s over `LazyTablePolicy`, memo saturated at 4 states | LRU, PLRU, NRU × 8 | `saturated_lazy_memo_stays_bit_identical_via_direct_fallback` |
+//! | eight threads of `CacheSet`s over `LazyTablePolicy`, one shared memo | LRU × 16 | `concurrent_lazy_memo_is_bit_identical_across_eight_threads` |
+//! | `KernelCache` on an interleaved multi-set stream | LRU/FIFO/PLRU/NRU × 4/8/16 | `batch_kernels_are_bit_identical_across_the_whole_grid` |
+//! | `CacheSet` over `TablePolicy` compiled by `PermTable::from_spec`, against the spec interpreter | catalog specs × 4/8 | `catalog_specs_round_trip_through_compiled_tables` |
+//!
+//! The boxed engine is a faithful local replica of the pre-refactor
+//! cache set (array-of-`Option` tags driving concrete policies behind
+//! `Box<dyn ReplacementPolicy>`), so the suite pins enum dispatch to the
+//! concrete policies, not to itself. The enum engine itself passes the
+//! policy conformance battery and, for deterministic kinds, state-key
+//! soundness.
 
 use cachekit::core::perm::{
-    catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTableCache,
-    LazyTablePolicy, PermTable, PermutationPolicy, TableSet,
+    catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTablePolicy, PermTable,
+    PermutationPolicy, TablePolicy,
 };
 use cachekit::policies::conformance::{assert_conformance, assert_state_key_soundness};
 use cachekit::policies::kernel::KernelCache;
@@ -83,6 +97,12 @@ fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn Replacemen
     }
 }
 
+/// A set running a boxed table adapter, as serve's table caches build
+/// them (`Cache::with_policy_factory`).
+fn adapter_set(policy: impl ReplacementPolicy + 'static) -> CacheSet {
+    CacheSet::from_state(PolicyState::from_boxed(Box::new(policy)))
+}
+
 /// A mixed hot/cold tag stream exercising hits, cold fills and capacity
 /// evictions.
 fn stream(assoc: usize, len: usize, seed: u64) -> Vec<u64> {
@@ -151,10 +171,10 @@ fn table_engine_is_bit_identical_where_it_compiles() {
             let Some(table) = table_for_kind(kind, assoc) else {
                 continue;
             };
-            let mut tabled = TableSet::new(table);
+            let mut tabled = adapter_set(TablePolicy::new(table));
             let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
             for (i, &tag) in stream(assoc, 4000, 0x7AB1E).iter().enumerate() {
-                let a = tabled.access(tag);
+                let a = tabled.access_tag(tag);
                 let b = enumed.access_tag(tag);
                 assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
             }
@@ -258,12 +278,15 @@ fn lazy_table_engine_is_bit_identical_under_invalidation() {
 fn saturated_lazy_memo_stays_bit_identical_via_direct_fallback() {
     // With an absurdly small state budget the memo saturates almost
     // immediately; overflowing sets must degrade to concrete (direct)
-    // execution, never to divergence.
+    // execution, never to divergence. (lazy.rs's unit tests check that
+    // the adapters really do fall back.)
     for kind in [PolicyKind::Lru, PolicyKind::TreePlru, PolicyKind::Nru] {
         let assoc = 8;
         let template = kind.build_state(assoc, 0);
         let table = Arc::new(LazyPermTable::new(&template, 4).expect("deterministic template"));
-        let mut lazed = LazyTableCache::new(table.clone(), 8);
+        let mut lazed: Vec<CacheSet> = (0..8)
+            .map(|_| adapter_set(LazyTablePolicy::new(table.clone())))
+            .collect();
         let mut enumed: Vec<CacheSet> = (0..8)
             .map(|s| CacheSet::from_state(kind.build_state(assoc, s)))
             .collect();
@@ -272,24 +295,25 @@ fn saturated_lazy_memo_stays_bit_identical_via_direct_fallback() {
             let set = rng.gen_range(0..8) as usize;
             let tag = rng.gen_range(0..6 * assoc as u64);
             assert_eq!(
-                lazed.access(set, tag).is_hit(),
-                enumed[set].access_tag(tag).is_hit(),
+                lazed[set].access_tag(tag),
+                enumed[set].access_tag(tag),
                 "{kind:?} diverged at step {i}"
             );
         }
         assert!(table.saturated(), "budget 4 must saturate {kind:?}");
-        assert!(
-            lazed.direct_sets() > 0,
-            "{kind:?}: saturation must push sets into direct mode"
-        );
-        for (set, en) in enumed.iter().enumerate().take(8) {
+        for (set, (la, en)) in lazed.iter().zip(&enumed).enumerate() {
             for w in 0..assoc {
                 assert_eq!(
-                    lazed.tag_in_way(set, w),
+                    la.tag_in_way(w),
                     en.tag_in_way(w),
                     "{kind:?} set {set} way {w} differs"
                 );
             }
+            assert_eq!(
+                la.policy().state_key(),
+                en.policy().state_key(),
+                "{kind:?} set {set} final replacement state differs"
+            );
         }
     }
 }
@@ -381,8 +405,14 @@ fn concurrent_lazy_memo_is_bit_identical_across_eight_threads() {
             .map(|stream| {
                 let table = table.clone();
                 scope.spawn(move || {
-                    let mut cache = LazyTableCache::new(table, 16);
-                    cache.access_many(stream).0
+                    let mut sets: Vec<CacheSet> = (0..16)
+                        .map(|_| adapter_set(LazyTablePolicy::new(table.clone())))
+                        .collect();
+                    let mut hits = 0u64;
+                    for &(set, tag) in stream {
+                        hits += u64::from(sets[set as usize].access_tag(tag).is_hit());
+                    }
+                    hits
                 })
             })
             .collect();
@@ -439,12 +469,12 @@ fn catalog_specs_round_trip_through_compiled_tables() {
         for entry in catalog_for(assoc) {
             let table = PermTable::from_spec(&entry.spec, 65_535)
                 .unwrap_or_else(|e| panic!("{} at {assoc} ways: {e}", entry.name));
-            let mut tabled = TableSet::new(Arc::new(table));
+            let mut tabled = adapter_set(TablePolicy::new(Arc::new(table)));
             let mut interp = CacheSet::from_state(PolicyState::from_boxed(Box::new(
                 PermutationPolicy::new(entry.spec.clone()),
             )));
             for (i, &tag) in stream(assoc, 3000, 0xCA7A).iter().enumerate() {
-                let a = tabled.access(tag);
+                let a = tabled.access_tag(tag);
                 let b = interp.access_tag(tag);
                 assert_eq!(
                     a, b,
