@@ -43,8 +43,11 @@ run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 
 # Engine differential at release optimisation: every engine (the
 # eager and lazy table adapters, the batch kernels, and a boxed replica
-# of the pre-refactor set) bit-identical to the enum engine over all 13
-# differential kinds, plus the catalog-spec -> table round trip.
+# set that runs the permutation-spec interpreter for the recency-stack
+# kinds and the concrete policies for the rest) bit-identical to the
+# enum engine over all 13 differential kinds, the catalog-spec -> table
+# round trip, and the pinned digests of the recency-stack kinds and the
+# catalog.
 run cargo test -q --release --test engine_differential
 
 # Inference-engine differential at release optimisation: permutation
@@ -173,7 +176,12 @@ done
 run cargo build --release -p cachekit --offline
 
 # Public-API smoke check: the examples exercise the builder/layer API
-# surface and must keep compiling against it.
+# surface and must keep compiling against it, and each must run to
+# completion (about 1.2 s for all of them on 2 vCPUs; trace_file writes
+# only under the temp directory).
 run cargo build --release --examples --offline
+for example in examples/*.rs; do
+    run cargo run --release -q --offline --example "$(basename "$example" .rs)"
+done
 
 echo "ci: all checks passed"

@@ -1,6 +1,6 @@
 //! **Fig. 1** — the permutation vectors of the canonical policies, the
-//! paper's illustration of the formalism. LRU and FIFO are written down
-//! analytically; PLRU's vectors are *derived mechanically* from the
+//! paper's illustration of the formalism. LRU, FIFO and LIP are written
+//! down from their recency-stack rules; PLRU's vectors are *derived mechanically* from the
 //! executable tree implementation, and LazyLRU's (the undocumented-policy
 //! stand-in) likewise.
 //!
@@ -8,7 +8,7 @@
 
 use cachekit_bench::{json::Json, Runner, Table};
 use cachekit_core::perm::{derive_permutation_spec, PermutationSpec};
-use cachekit_policies::{LazyLru, TreePlru};
+use cachekit_policies::{PolicyKind, TreePlru};
 
 fn main() {
     let mut run = Runner::new("fig1_vectors");
@@ -40,13 +40,20 @@ fn main() {
 
     let derive_span = cachekit_obs::span("derive_vectors");
     for assoc in [4usize, 8] {
-        add("LRU", &PermutationSpec::lru(assoc));
-        add("FIFO", &PermutationSpec::fifo(assoc));
-        add("LIP", &PermutationSpec::lip(assoc));
+        for (name, kind) in [
+            ("LRU", PolicyKind::Lru),
+            ("FIFO", PolicyKind::Fifo),
+            ("LIP", PolicyKind::Lip),
+        ] {
+            add(
+                name,
+                &PermutationSpec::for_kind(kind, assoc).expect("a recency-stack kind"),
+            );
+        }
         let plru = derive_permutation_spec(Box::new(TreePlru::new(assoc)))
             .expect("pow2 tree-PLRU is a permutation policy");
         add("PLRU", &plru);
-        let lazy = derive_permutation_spec(Box::new(LazyLru::new(assoc)))
+        let lazy = derive_permutation_spec(Box::new(PolicyKind::LazyLru.build_state(assoc, 0)))
             .expect("LazyLRU is a permutation policy");
         add("LazyLRU", &lazy);
     }

@@ -15,8 +15,8 @@ use cachekit_bench::{jobj, json::Json, Runner, Table};
 use cachekit_core::analysis::{
     evict_distance, evict_distance_spec, minimal_lifespan, minimal_lifespan_spec, DistanceError,
 };
-use cachekit_core::perm::{derive_permutation_spec, PermutationSpec};
-use cachekit_policies::{LazyLru, PolicyKind, TreePlru};
+use cachekit_core::perm::PermutationSpec;
+use cachekit_policies::PolicyKind;
 
 fn show(r: &Result<usize, DistanceError>) -> String {
     match r {
@@ -24,17 +24,6 @@ fn show(r: &Result<usize, DistanceError>) -> String {
         Err(DistanceError::Unbounded) => "unbounded".to_owned(),
         Err(DistanceError::TooLarge { .. }) => "(budget)".to_owned(),
         Err(DistanceError::NonDeterministic) => "n/a".to_owned(),
-    }
-}
-
-fn spec_for(kind: PolicyKind, assoc: usize) -> Option<PermutationSpec> {
-    match kind {
-        PolicyKind::Lru => Some(PermutationSpec::lru(assoc)),
-        PolicyKind::Fifo => Some(PermutationSpec::fifo(assoc)),
-        PolicyKind::Lip => Some(PermutationSpec::lip(assoc)),
-        PolicyKind::TreePlru => derive_permutation_spec(Box::new(TreePlru::new(assoc))).ok(),
-        PolicyKind::LazyLru => derive_permutation_spec(Box::new(LazyLru::new(assoc))).ok(),
-        _ => None,
     }
 }
 
@@ -69,7 +58,7 @@ fn main() {
     type Distances = (Result<usize, DistanceError>, Result<usize, DistanceError>);
     let solve_span = cachekit_obs::span("solve_distances");
     let solved: Vec<Distances> = cachekit_sim::par_map(&grid, run.jobs(), |&(kind, a)| {
-        let (e, m) = match spec_for(kind, a) {
+        let (e, m) = match PermutationSpec::for_kind(kind, a) {
             Some(spec) => (
                 evict_distance_spec(&spec, budget),
                 minimal_lifespan_spec(&spec, budget),

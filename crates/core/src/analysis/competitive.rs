@@ -113,40 +113,71 @@ pub fn competitiveness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::{Fifo, LazyLru, Lru, TreePlru};
+    use cachekit_policies::{PolicyKind, TreePlru};
 
     #[test]
     fn a_policy_is_exactly_one_competitive_against_itself() {
-        let e = competitiveness(&Lru::new(4), &Lru::new(4), 50, 1);
+        let e = competitiveness(
+            &PolicyKind::Lru.build_state(4, 0),
+            &PolicyKind::Lru.build_state(4, 0),
+            50,
+            1,
+        );
         assert!((e.max_ratio - 1.0).abs() < 1e-12, "{e:?}");
     }
 
     #[test]
     fn fifo_loses_to_lru_somewhere_and_vice_versa() {
-        let f_vs_l = competitiveness(&Fifo::new(4), &Lru::new(4), 200, 2);
-        let l_vs_f = competitiveness(&Lru::new(4), &Fifo::new(4), 200, 2);
+        let f_vs_l = competitiveness(
+            &PolicyKind::Fifo.build_state(4, 0),
+            &PolicyKind::Lru.build_state(4, 0),
+            200,
+            2,
+        );
+        let l_vs_f = competitiveness(
+            &PolicyKind::Lru.build_state(4, 0),
+            &PolicyKind::Fifo.build_state(4, 0),
+            200,
+            2,
+        );
         assert!(f_vs_l.max_ratio > 1.05, "{f_vs_l:?}");
         assert!(l_vs_f.max_ratio > 1.0, "{l_vs_f:?}");
     }
 
     #[test]
     fn plru_stays_close_to_lru() {
-        let e = competitiveness(&TreePlru::new(4), &Lru::new(4), 200, 3);
+        let e = competitiveness(
+            &TreePlru::new(4),
+            &PolicyKind::Lru.build_state(4, 0),
+            200,
+            3,
+        );
         assert!(e.max_ratio >= 1.0);
         assert!(e.max_ratio < 2.0, "PLRU should track LRU: {e:?}");
     }
 
     #[test]
     fn witnesses_replay() {
-        let e = competitiveness(&Fifo::new(4), &Lru::new(4), 100, 7);
+        let e = competitiveness(
+            &PolicyKind::Fifo.build_state(4, 0),
+            &PolicyKind::Lru.build_state(4, 0),
+            100,
+            7,
+        );
         let seq = adversarial_sequence(4, 60 * 4, e.witness_seed);
-        let ratio = misses_on(&Fifo::new(4), &seq) as f64 / misses_on(&Lru::new(4), &seq) as f64;
+        let ratio = misses_on(&PolicyKind::Fifo.build_state(4, 0), &seq) as f64
+            / misses_on(&PolicyKind::Lru.build_state(4, 0), &seq) as f64;
         assert!((ratio - e.max_ratio).abs() < 1e-12);
     }
 
     #[test]
     fn lazy_lru_is_nearly_lru_competitive() {
-        let e = competitiveness(&LazyLru::new(8), &Lru::new(8), 100, 9);
+        let e = competitiveness(
+            &PolicyKind::LazyLru.build_state(8, 0),
+            &PolicyKind::Lru.build_state(8, 0),
+            100,
+            9,
+        );
         assert!(e.max_ratio < 1.5, "{e:?}");
     }
 

@@ -289,12 +289,15 @@ pub fn minimal_lifespan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::{Fifo, Lip, Lru, RandomPolicy, TreePlru};
+    use cachekit_policies::{PolicyKind, RandomPolicy, TreePlru};
 
     #[test]
     fn evict_lru_is_assoc() {
         for assoc in [1usize, 2, 3, 4] {
-            assert_eq!(evict_distance(&Lru::new(assoc), 2_000_000).unwrap(), assoc);
+            assert_eq!(
+                evict_distance(&PolicyKind::Lru.build_state(assoc, 0), 2_000_000).unwrap(),
+                assoc
+            );
         }
     }
 
@@ -302,7 +305,7 @@ mod tests {
     fn evict_fifo_is_two_assoc_minus_one() {
         for assoc in [2usize, 3, 4] {
             assert_eq!(
-                evict_distance(&Fifo::new(assoc), 2_000_000).unwrap(),
+                evict_distance(&PolicyKind::Fifo.build_state(assoc, 0), 2_000_000).unwrap(),
                 2 * assoc - 1
             );
         }
@@ -320,7 +323,7 @@ mod tests {
     #[test]
     fn evict_lip_is_unbounded() {
         assert_eq!(
-            evict_distance(&Lip::new(2), 1_000_000),
+            evict_distance(&PolicyKind::Lip.build_state(2, 0), 1_000_000),
             Err(DistanceError::Unbounded)
         );
     }
@@ -329,7 +332,7 @@ mod tests {
     fn mls_lru_is_assoc() {
         for assoc in [1usize, 2, 3, 4] {
             assert_eq!(
-                minimal_lifespan(&Lru::new(assoc), 2_000_000).unwrap(),
+                minimal_lifespan(&PolicyKind::Lru.build_state(assoc, 0), 2_000_000).unwrap(),
                 assoc
             );
         }
@@ -339,7 +342,7 @@ mod tests {
     fn mls_fifo_is_assoc() {
         for assoc in [2usize, 4] {
             assert_eq!(
-                minimal_lifespan(&Fifo::new(assoc), 2_000_000).unwrap(),
+                minimal_lifespan(&PolicyKind::Fifo.build_state(assoc, 0), 2_000_000).unwrap(),
                 assoc
             );
         }
@@ -366,7 +369,7 @@ mod tests {
     #[test]
     fn budget_is_respected() {
         assert!(matches!(
-            evict_distance(&Lru::new(6), 50),
+            evict_distance(&PolicyKind::Lru.build_state(6, 0), 50),
             Err(DistanceError::TooLarge { .. })
         ));
     }

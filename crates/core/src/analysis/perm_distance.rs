@@ -163,17 +163,31 @@ mod tests {
     use super::*;
     use crate::analysis::{evict_distance, minimal_lifespan};
     use crate::perm::derive_permutation_spec;
-    use cachekit_policies::{Fifo, LazyLru, Lru, TreePlru};
+    use cachekit_policies::{PolicyKind, TreePlru};
 
     const BUDGET: usize = 4_000_000;
 
     #[test]
     fn evict_spec_matches_generic_solver_on_small_assoc() {
         for assoc in [1usize, 2, 3, 4] {
-            let lru = evict_distance_spec(&PermutationSpec::lru(assoc), BUDGET).unwrap();
-            assert_eq!(lru, evict_distance(&Lru::new(assoc), BUDGET).unwrap());
-            let fifo = evict_distance_spec(&PermutationSpec::fifo(assoc), BUDGET).unwrap();
-            assert_eq!(fifo, evict_distance(&Fifo::new(assoc), BUDGET).unwrap());
+            let lru = evict_distance_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lru, assoc).unwrap(),
+                BUDGET,
+            )
+            .unwrap();
+            assert_eq!(
+                lru,
+                evict_distance(&PolicyKind::Lru.build_state(assoc, 0), BUDGET).unwrap()
+            );
+            let fifo = evict_distance_spec(
+                &PermutationSpec::for_kind(PolicyKind::Fifo, assoc).unwrap(),
+                BUDGET,
+            )
+            .unwrap();
+            assert_eq!(
+                fifo,
+                evict_distance(&PolicyKind::Fifo.build_state(assoc, 0), BUDGET).unwrap()
+            );
         }
         let plru4 = derive_permutation_spec(Box::new(TreePlru::new(4))).unwrap();
         assert_eq!(
@@ -185,18 +199,26 @@ mod tests {
     #[test]
     fn mls_spec_matches_generic_solver_on_small_assoc() {
         for assoc in [2usize, 3, 4] {
-            let lru = minimal_lifespan_spec(&PermutationSpec::lru(assoc), BUDGET).unwrap();
-            assert_eq!(lru, minimal_lifespan(&Lru::new(assoc), BUDGET).unwrap());
+            let lru = minimal_lifespan_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lru, assoc).unwrap(),
+                BUDGET,
+            )
+            .unwrap();
+            assert_eq!(
+                lru,
+                minimal_lifespan(&PolicyKind::Lru.build_state(assoc, 0), BUDGET).unwrap()
+            );
         }
         let plru4 = derive_permutation_spec(Box::new(TreePlru::new(4))).unwrap();
         assert_eq!(
             minimal_lifespan_spec(&plru4, BUDGET).unwrap(),
             minimal_lifespan(&TreePlru::new(4), BUDGET).unwrap()
         );
-        let lazy = derive_permutation_spec(Box::new(LazyLru::new(4))).unwrap();
+        let lazy =
+            derive_permutation_spec(Box::new(PolicyKind::LazyLru.build_state(4, 0))).unwrap();
         assert_eq!(
             minimal_lifespan_spec(&lazy, BUDGET).unwrap(),
-            minimal_lifespan(&LazyLru::new(4), BUDGET).unwrap()
+            minimal_lifespan(&PolicyKind::LazyLru.build_state(4, 0), BUDGET).unwrap()
         );
     }
 
@@ -204,19 +226,30 @@ mod tests {
     fn lru_distances_scale_to_large_assoc() {
         for assoc in [8usize, 16] {
             assert_eq!(
-                evict_distance_spec(&PermutationSpec::lru(assoc), BUDGET).unwrap(),
+                evict_distance_spec(
+                    &PermutationSpec::for_kind(PolicyKind::Lru, assoc).unwrap(),
+                    BUDGET
+                )
+                .unwrap(),
                 assoc
             );
         }
         // The mls game has 3^A nodes, so it scales a little less far.
         for assoc in [8usize, 12] {
             assert_eq!(
-                minimal_lifespan_spec(&PermutationSpec::lru(assoc), BUDGET).unwrap(),
+                minimal_lifespan_spec(
+                    &PermutationSpec::for_kind(PolicyKind::Lru, assoc).unwrap(),
+                    BUDGET
+                )
+                .unwrap(),
                 assoc
             );
         }
         assert!(matches!(
-            minimal_lifespan_spec(&PermutationSpec::lru(16), BUDGET),
+            minimal_lifespan_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lru, 16).unwrap(),
+                BUDGET
+            ),
             Err(DistanceError::TooLarge { .. })
         ));
     }
@@ -232,12 +265,19 @@ mod tests {
     #[test]
     fn lip_is_unbounded_and_fragile() {
         assert_eq!(
-            evict_distance_spec(&PermutationSpec::lip(4), BUDGET),
+            evict_distance_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lip, 4).unwrap(),
+                BUDGET
+            ),
             Err(DistanceError::Unbounded)
         );
         // A LIP line is inserted at the victim position: dead in one miss.
         assert_eq!(
-            minimal_lifespan_spec(&PermutationSpec::lip(4), BUDGET).unwrap(),
+            minimal_lifespan_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lip, 4).unwrap(),
+                BUDGET
+            )
+            .unwrap(),
             1
         );
     }
@@ -245,7 +285,10 @@ mod tests {
     #[test]
     fn budget_is_respected() {
         assert!(matches!(
-            evict_distance_spec(&PermutationSpec::lru(24), 1000),
+            evict_distance_spec(
+                &PermutationSpec::for_kind(PolicyKind::Lru, 24).unwrap(),
+                1000
+            ),
             Err(DistanceError::TooLarge { .. })
         ));
     }

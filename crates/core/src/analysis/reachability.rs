@@ -98,14 +98,14 @@ pub fn reachable_states(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::{Fifo, Lru, RandomPolicy, TreePlru};
+    use cachekit_policies::{PolicyKind, RandomPolicy, TreePlru};
 
     #[test]
     fn lru_reaches_all_orders() {
         // From the identity order, hits generate all A! permutations.
-        let states = reachable_states(&Lru::new(3), 100).unwrap();
+        let states = reachable_states(&PolicyKind::Lru.build_state(3, 0), 100).unwrap();
         assert_eq!(states.len(), 6);
-        let states = reachable_states(&Lru::new(4), 100).unwrap();
+        let states = reachable_states(&PolicyKind::Lru.build_state(4, 0), 100).unwrap();
         assert_eq!(states.len(), 24);
     }
 
@@ -122,13 +122,13 @@ mod tests {
         // FIFO ignores hits; only the miss rotation moves the state, so
         // exactly A cyclic shifts... but fills move arbitrary ways to the
         // front only via the victim, giving the cyclic group.
-        let states = reachable_states(&Fifo::new(4), 100).unwrap();
+        let states = reachable_states(&PolicyKind::Fifo.build_state(4, 0), 100).unwrap();
         assert_eq!(states.len(), 4);
     }
 
     #[test]
     fn budget_is_respected() {
-        let err = reachable_states(&Lru::new(5), 10).unwrap_err();
+        let err = reachable_states(&PolicyKind::Lru.build_state(5, 0), 10).unwrap_err();
         assert!(matches!(err, ReachabilityError::TooLarge { .. }));
     }
 

@@ -54,8 +54,7 @@ pub use geometry::{
 };
 pub use oracle::{
     estimate_counter_noise, measure_voted, CacheOracle, CacheOracleExt, Counted, Counting,
-    ExperimentRecord, MeasureFault, Metered, MeteredOracle, OracleLayer, Recorded, Recording,
-    SimOracle,
+    ExperimentRecord, MeasureFault, OracleLayer, Recorded, Recording, SimOracle,
 };
 pub use policy::PolicyReport;
 pub use vote::{MeasurementBudget, VoteOutcome, VotePlan};

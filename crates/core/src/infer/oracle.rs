@@ -4,16 +4,17 @@
 //! Decorators compose uniformly through [`OracleLayer`]:
 //!
 //! ```
-//! use cachekit_core::infer::{CacheOracleExt, Counting, Metered, SimOracle};
+//! use cachekit_core::infer::{CacheOracleExt, Counting, Recording, SimOracle};
 //! use cachekit_policies::PolicyKind;
 //! use cachekit_sim::{Cache, CacheConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cache = Cache::new(CacheConfig::new(16 * 1024, 4, 64)?, PolicyKind::Lru);
-//! let mut oracle = SimOracle::new(cache).layer(Counting).layer(Metered);
+//! let mut oracle = SimOracle::new(cache).layer(Counting).layer(Recording);
 //! use cachekit_core::infer::CacheOracle as _;
 //! oracle.measure(&[0, 64], &[0, 128]);
 //! assert_eq!(oracle.inner().measurements(), 1);
+//! assert_eq!(oracle.records().len(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -97,8 +98,8 @@ impl<O: CacheOracle + ?Sized> CacheOracle for &mut O {
 /// A decorator that wraps a [`CacheOracle`] in another oracle — the
 /// uniform composition point for the measurement stack.
 ///
-/// A layer value is a small marker ([`Counting`], [`Recording`],
-/// [`Metered`]) describing *what* to add; applying it via
+/// A layer value is a small marker ([`Counting`], [`Recording`])
+/// describing *what* to add; applying it via
 /// [`CacheOracleExt::layer`] produces the concrete wrapper type.
 pub trait OracleLayer<O: CacheOracle> {
     /// The wrapper produced by this layer.
@@ -108,7 +109,7 @@ pub trait OracleLayer<O: CacheOracle> {
 }
 
 /// Fluent `.layer(...)` composition for any sized oracle:
-/// `oracle.layer(Counting).layer(Metered)`.
+/// `oracle.layer(Counting).layer(Recording)`.
 pub trait CacheOracleExt: CacheOracle + Sized {
     /// Wrap `self` in the decorator described by `layer`.
     fn layer<L: OracleLayer<Self>>(self, layer: L) -> L::Output {
@@ -163,11 +164,6 @@ pub struct Counting;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Recording;
 
-/// Layer marker: publish per-measurement counters to the global
-/// `cachekit-obs` registry (produces [`MeteredOracle`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Metered;
-
 impl<O: CacheOracle> OracleLayer<O> for Counting {
     type Output = Counted<O>;
     fn layer(self, inner: O) -> Counted<O> {
@@ -182,16 +178,10 @@ impl<O: CacheOracle> OracleLayer<O> for Recording {
     }
 }
 
-impl<O: CacheOracle> OracleLayer<O> for Metered {
-    type Output = MeteredOracle<O>;
-    fn layer(self, inner: O) -> MeteredOracle<O> {
-        MeteredOracle::new(inner)
-    }
-}
-
 /// Decorator that counts measurements and accesses — the "cost of the
-/// attack" metric of Table 3. Counters are local to the wrapper (see
-/// [`MeteredOracle`] for the global-registry variant).
+/// attack" metric of Table 3. Counters are local to the wrapper; the
+/// global `cachekit-obs` registry counts the measurements that go through
+/// [`VotePlan`](crate::infer::VotePlan).
 #[derive(Debug, Clone)]
 pub struct Counted<O> {
     inner: O,
@@ -321,52 +311,6 @@ impl<O: CacheOracle> CacheOracle for Recorded<O> {
     }
 }
 
-/// Decorator that publishes `oracle.measurements` / `oracle.accesses`
-/// counters to the global `cachekit-obs` registry, attributed to the
-/// span open at each `measure` call.
-///
-/// The inference pipeline already meters every *voted* measurement
-/// through [`VotePlan`](crate::infer::VotePlan); use this layer for
-/// oracles driven outside the voting funnel (custom campaigns, raw
-/// `measure` loops) so their cost shows up in `run_report.metrics` too.
-/// Wrapping an oracle that is also measured through `VotePlan` counts
-/// those queries twice — pick one funnel per oracle.
-#[derive(Debug, Clone)]
-pub struct MeteredOracle<O> {
-    inner: O,
-}
-
-impl<O: CacheOracle> MeteredOracle<O> {
-    /// Wrap an oracle; the global registry is the only state.
-    pub fn new(inner: O) -> Self {
-        Self { inner }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwrap the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: CacheOracle> CacheOracle for MeteredOracle<O> {
-    fn measure(&mut self, warmup: &[u64], probe: &[u64]) -> usize {
-        cachekit_obs::add("oracle.measurements", 1);
-        cachekit_obs::add("oracle.accesses", (warmup.len() + probe.len()) as u64);
-        self.inner.measure(warmup, probe)
-    }
-
-    fn try_measure(&mut self, warmup: &[u64], probe: &[u64]) -> Result<usize, MeasureFault> {
-        cachekit_obs::add("oracle.measurements", 1);
-        cachekit_obs::add("oracle.accesses", (warmup.len() + probe.len()) as u64);
-        self.inner.try_measure(warmup, probe)
-    }
-}
-
 /// Take the median of `repetitions` measurements of the same experiment —
 /// the voting primitive that makes the pipeline robust to sporadic
 /// counter noise. Thin wrapper over [`VotePlan`].
@@ -461,12 +405,16 @@ mod tests {
 
     #[test]
     fn layers_compose_and_unwrap_in_either_order() {
-        let mut o = oracle().layer(Counting).layer(Recording).layer(Metered);
+        let mut o = oracle().layer(Counting).layer(Recording);
         o.measure(&[0], &[0, 64]);
-        assert_eq!(o.inner().records().len(), 1);
-        assert_eq!(o.inner().inner().measurements(), 1);
-        let counted = o.into_inner().into_inner();
+        assert_eq!(o.records().len(), 1);
+        assert_eq!(o.inner().measurements(), 1);
+        let counted = o.into_inner();
         assert_eq!(counted.accesses(), 3);
+        let mut o = oracle().layer(Recording).layer(Counting);
+        o.measure(&[0], &[0, 64]);
+        assert_eq!(o.measurements(), 1);
+        assert_eq!(o.into_inner().records().len(), 1);
     }
 
     #[test]

@@ -653,7 +653,10 @@ mod tests {
     fn identifies_lru() {
         let report = strict(PolicyKind::Lru, 16 * 1024, 4).unwrap();
         assert_eq!(report.matched, Some("LRU"));
-        assert_eq!(report.spec, PermutationSpec::lru(4));
+        assert_eq!(
+            report.spec,
+            PermutationSpec::for_kind(PolicyKind::Lru, 4).unwrap()
+        );
     }
 
     #[test]

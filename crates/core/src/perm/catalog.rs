@@ -5,8 +5,8 @@
 //! implements a *previously undocumented* policy, the paper's headline
 //! outcome for some of its targets.
 
-use crate::perm::{derive_permutation_spec, PermutationSpec};
-use cachekit_policies::TreePlru;
+use crate::perm::PermutationSpec;
+use cachekit_policies::PolicyKind;
 
 /// A named catalog policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,31 +17,25 @@ pub struct CatalogEntry {
     pub spec: PermutationSpec,
 }
 
-/// All catalog policies at the given associativity.
+/// All catalog policies at the given associativity, each built by
+/// [`PermutationSpec::for_kind`].
 ///
 /// Always contains LRU, FIFO and LIP; contains PLRU whenever tree-PLRU at
 /// this associativity *is* a permutation policy (always for powers of
 /// two; the generalised tree for other associativities is included only
 /// if the derivation succeeds and validates).
 pub fn catalog_for(assoc: usize) -> Vec<CatalogEntry> {
-    let mut entries = vec![
-        CatalogEntry {
-            name: "LRU",
-            spec: PermutationSpec::lru(assoc),
-        },
-        CatalogEntry {
-            name: "FIFO",
-            spec: PermutationSpec::fifo(assoc),
-        },
-        CatalogEntry {
-            name: "LIP",
-            spec: PermutationSpec::lip(assoc),
-        },
-    ];
-    if let Ok(spec) = derive_permutation_spec(Box::new(TreePlru::new(assoc))) {
-        entries.push(CatalogEntry { name: "PLRU", spec });
-    }
-    entries
+    [
+        ("LRU", PolicyKind::Lru),
+        ("FIFO", PolicyKind::Fifo),
+        ("LIP", PolicyKind::Lip),
+        ("PLRU", PolicyKind::TreePlru),
+    ]
+    .into_iter()
+    .filter_map(|(name, kind)| {
+        PermutationSpec::for_kind(kind, assoc).map(|spec| CatalogEntry { name, spec })
+    })
+    .collect()
 }
 
 /// Match `spec` against the catalog, returning the canonical name if it
@@ -60,7 +54,6 @@ pub fn match_spec(spec: &PermutationSpec) -> Option<&'static str> {
 mod tests {
     use super::*;
     use crate::perm::derive_permutation_spec;
-    use cachekit_policies::{LazyLru, Lru};
 
     #[test]
     fn catalog_contains_plru_for_powers_of_two() {
@@ -89,20 +82,17 @@ mod tests {
     }
 
     #[test]
-    fn derived_lru_matches_catalog() {
-        let spec = derive_permutation_spec(Box::new(Lru::new(8))).unwrap();
-        assert_eq!(match_spec(&spec), Some("LRU"));
-    }
-
-    #[test]
-    fn lazy_lru_is_not_in_catalog() {
-        let spec = derive_permutation_spec(Box::new(LazyLru::new(8))).unwrap();
-        assert_eq!(match_spec(&spec), None);
-    }
-
-    #[test]
-    fn plru_spec_matches_catalog_name() {
-        let spec = derive_permutation_spec(Box::new(TreePlru::new(8))).unwrap();
-        assert_eq!(match_spec(&spec), Some("PLRU"));
+    fn derived_specs_match_their_catalog_names() {
+        // LazyLRU is the undocumented policy: a permutation policy that
+        // no catalog entry describes.
+        for (kind, name) in [
+            (PolicyKind::Lru, Some("LRU")),
+            (PolicyKind::Fifo, Some("FIFO")),
+            (PolicyKind::TreePlru, Some("PLRU")),
+            (PolicyKind::LazyLru, None),
+        ] {
+            let spec = derive_permutation_spec(Box::new(kind.build_state(8, 0))).unwrap();
+            assert_eq!(match_spec(&spec), name, "{kind:?}");
+        }
     }
 }

@@ -273,21 +273,26 @@ fn validate_spec(
 mod tests {
     use super::*;
     use crate::perm::PermutationPolicy;
-    use cachekit_policies::{BitPlru, Fifo, LazyLru, Lip, Lru, Nru, RandomPolicy, Srrip, TreePlru};
+    use cachekit_policies::{BitPlru, Nru, PolicyKind, RandomPolicy, Srrip, TreePlru};
 
     #[test]
-    fn lru_derives_to_promote_to_front() {
-        for assoc in [1usize, 2, 4, 6, 8] {
-            let spec = derive_permutation_spec(Box::new(Lru::new(assoc))).unwrap();
-            assert_eq!(spec, PermutationSpec::lru(assoc), "assoc {assoc}");
-        }
-    }
-
-    #[test]
-    fn fifo_derives_to_identities() {
-        for assoc in [2usize, 4, 8] {
-            let spec = derive_permutation_spec(Box::new(Fifo::new(assoc))).unwrap();
-            assert_eq!(spec, PermutationSpec::fifo(assoc), "assoc {assoc}");
+    fn front_insertion_stack_kinds_derive_to_their_specs() {
+        // The read-out of each front-insertion recency-stack kind equals
+        // the spec built from its rule (SLRU-0 inserts at the front too).
+        for (kind, assocs) in [
+            (PolicyKind::Lru, &[1usize, 2, 4, 6, 8][..]),
+            (PolicyKind::Fifo, &[2, 4, 8]),
+            (PolicyKind::LazyLru, &[2, 4, 8]),
+            (PolicyKind::Slru { protected: 0 }, &[4]),
+        ] {
+            for &assoc in assocs {
+                let spec = derive_permutation_spec(Box::new(kind.build_state(assoc, 0))).unwrap();
+                assert_eq!(
+                    Some(spec),
+                    PermutationSpec::for_kind(kind, assoc),
+                    "{kind:?} at {assoc} ways"
+                );
+            }
         }
     }
 
@@ -301,8 +306,12 @@ mod tests {
 
     #[test]
     fn lazy_lru_derives_and_differs_from_lru() {
-        let spec = derive_permutation_spec(Box::new(LazyLru::new(4))).unwrap();
-        assert_ne!(spec, PermutationSpec::lru(4));
+        let spec =
+            derive_permutation_spec(Box::new(PolicyKind::LazyLru.build_state(4, 0))).unwrap();
+        assert_ne!(
+            Some(&spec),
+            PermutationSpec::for_kind(PolicyKind::Lru, 4).as_ref()
+        );
         // Young-half hits are identities.
         assert!(spec.hit_permutation(0).is_identity());
         assert!(spec.hit_permutation(1).is_identity());
@@ -315,45 +324,40 @@ mod tests {
 
     #[test]
     fn slru_insertion_position_is_the_protected_size() {
-        use cachekit_policies::Slru;
         for (assoc, protected) in [(4usize, 2usize), (8, 4), (8, 2), (6, 3)] {
+            let slru = || Box::new(PolicyKind::Slru { protected }.build_state(assoc, 0));
             assert_eq!(
-                detect_insertion_position(Box::new(Slru::new(assoc, protected))).unwrap(),
+                detect_insertion_position(slru()).unwrap(),
                 protected,
                 "assoc {assoc}, protected {protected}"
             );
-            if protected > 0 {
-                let err =
-                    derive_permutation_spec(Box::new(Slru::new(assoc, protected))).unwrap_err();
-                assert_eq!(
-                    err,
-                    DeriveError::NotFrontInsertion {
-                        position: protected
-                    }
-                );
-            }
+            let err = derive_permutation_spec(slru()).unwrap_err();
+            assert_eq!(
+                err,
+                DeriveError::NotFrontInsertion {
+                    position: protected
+                }
+            );
         }
-        // With an empty protected segment SLRU inserts at the front and
-        // derives like LRU.
-        let spec = derive_permutation_spec(Box::new(Slru::new(4, 0))).unwrap();
-        assert_eq!(spec, PermutationSpec::lru(4));
     }
 
     #[test]
     fn lip_is_detected_as_back_insertion() {
-        let err = derive_permutation_spec(Box::new(Lip::new(4))).unwrap_err();
+        let lip = || Box::new(PolicyKind::Lip.build_state(4, 0));
+        let err = derive_permutation_spec(lip()).unwrap_err();
         assert_eq!(err, DeriveError::NotFrontInsertion { position: 3 });
-        assert_eq!(detect_insertion_position(Box::new(Lip::new(4))).unwrap(), 3);
+        assert_eq!(detect_insertion_position(lip()).unwrap(), 3);
     }
 
     #[test]
     fn front_insertion_is_detected_for_lru_family() {
-        for p in [
-            Box::new(Lru::new(6)) as Box<dyn ReplacementPolicy>,
-            Box::new(Fifo::new(6)),
-            Box::new(TreePlru::new(8)),
+        for (kind, assoc) in [
+            (PolicyKind::Lru, 6),
+            (PolicyKind::Fifo, 6),
+            (PolicyKind::TreePlru, 8),
         ] {
-            assert_eq!(detect_insertion_position(p).unwrap(), 0);
+            let p = Box::new(kind.build_state(assoc, 0));
+            assert_eq!(detect_insertion_position(p).unwrap(), 0, "{kind:?}");
         }
     }
 
@@ -387,7 +391,7 @@ mod tests {
     #[test]
     fn derived_spec_round_trips() {
         // Deriving from a PermutationPolicy must reproduce its own spec.
-        let original = PermutationSpec::lru(4);
+        let original = PermutationSpec::for_kind(PolicyKind::Lru, 4).unwrap();
         let spec =
             derive_permutation_spec(Box::new(PermutationPolicy::new(original.clone()))).unwrap();
         assert_eq!(spec, original);

@@ -136,33 +136,37 @@ pub fn equivalent(
 mod tests {
     use super::*;
     use crate::perm::{PermutationPolicy, PermutationSpec};
-    use cachekit_policies::{Fifo, LazyLru, Lru, TreePlru};
+    use cachekit_policies::PolicyKind;
 
-    #[test]
-    fn lru_equals_its_permutation_spec() {
-        let lru = Lru::new(3);
-        let perm = PermutationPolicy::new(PermutationSpec::lru(3));
-        let r = equivalent(&lru, &perm, 5, 500_000);
-        assert!(r.is_equivalent(), "{r:?}");
+    fn state(kind: PolicyKind, assoc: usize) -> PolicyState {
+        kind.build_state(assoc, 0)
     }
 
     #[test]
-    fn fifo_equals_its_permutation_spec() {
-        let fifo = Fifo::new(3);
-        let perm = PermutationPolicy::new(PermutationSpec::fifo(3));
-        let r = equivalent(&fifo, &perm, 5, 500_000);
-        assert!(r.is_equivalent(), "{r:?}");
+    fn stack_kinds_equal_their_permutation_specs() {
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Lip,
+            PolicyKind::LazyLru,
+            PolicyKind::Slru { protected: 1 },
+        ] {
+            let spec = PermutationSpec::for_kind(kind, 3).unwrap();
+            let perm = PermutationPolicy::new(spec);
+            let r = equivalent(&state(kind, 3), &perm, 5, 500_000);
+            assert!(r.is_equivalent(), "{kind:?}: {r:?}");
+        }
     }
 
     #[test]
     fn lru_differs_from_fifo_with_counterexample() {
-        let lru = Lru::new(2);
-        let fifo = Fifo::new(2);
+        let lru = state(PolicyKind::Lru, 2);
+        let fifo = state(PolicyKind::Fifo, 2);
         match equivalent(&lru, &fifo, 3, 100_000) {
             EquivalenceResult::Diverges(cex) => {
                 // Replay the counterexample to confirm it is real.
-                let mut sa = CacheSet::from_state(PolicyState::from(Lru::new(2)));
-                let mut sb = CacheSet::from_state(PolicyState::from(Fifo::new(2)));
+                let mut sa = CacheSet::from_state(lru.clone());
+                let mut sb = CacheSet::from_state(fifo.clone());
                 let n = cex.accesses.len();
                 for (i, &blk) in cex.accesses.iter().enumerate() {
                     let oa = sa.access_tag(blk);
@@ -180,31 +184,51 @@ mod tests {
 
     #[test]
     fn lazy_lru_assoc2_equals_lru() {
-        let r = equivalent(&LazyLru::new(2), &Lru::new(2), 4, 100_000);
+        let r = equivalent(
+            &state(PolicyKind::LazyLru, 2),
+            &state(PolicyKind::Lru, 2),
+            4,
+            100_000,
+        );
         assert!(r.is_equivalent(), "{r:?}");
     }
 
     #[test]
     fn lazy_lru_assoc4_differs_from_lru() {
-        let r = equivalent(&LazyLru::new(4), &Lru::new(4), 6, 500_000);
+        let r = equivalent(
+            &state(PolicyKind::LazyLru, 4),
+            &state(PolicyKind::Lru, 4),
+            6,
+            500_000,
+        );
         assert!(matches!(r, EquivalenceResult::Diverges(_)), "{r:?}");
     }
 
     #[test]
     fn plru_two_way_equals_lru() {
-        let r = equivalent(&TreePlru::new(2), &Lru::new(2), 4, 100_000);
+        let r = equivalent(
+            &state(PolicyKind::TreePlru, 2),
+            &state(PolicyKind::Lru, 2),
+            4,
+            100_000,
+        );
         assert!(r.is_equivalent(), "{r:?}");
     }
 
     #[test]
     fn plru_four_way_differs_from_lru() {
-        let r = equivalent(&TreePlru::new(4), &Lru::new(4), 6, 500_000);
+        let r = equivalent(
+            &state(PolicyKind::TreePlru, 4),
+            &state(PolicyKind::Lru, 4),
+            6,
+            500_000,
+        );
         assert!(matches!(r, EquivalenceResult::Diverges(_)), "{r:?}");
     }
 
     #[test]
     fn tiny_budget_is_inconclusive() {
-        let r = equivalent(&Lru::new(4), &Lru::new(4), 6, 3);
+        let r = equivalent(&state(PolicyKind::Lru, 4), &state(PolicyKind::Lru, 4), 6, 3);
         assert!(matches!(r, EquivalenceResult::Inconclusive { .. }), "{r:?}");
     }
 }

@@ -1,7 +1,7 @@
 //! Executable permutation policies.
 
 use crate::perm::Permutation;
-use cachekit_policies::ReplacementPolicy;
+use cachekit_policies::{PolicyKind, ReplacementPolicy};
 use std::error::Error;
 use std::fmt;
 
@@ -15,8 +15,9 @@ use std::fmt;
 ///
 /// ```
 /// use cachekit_core::perm::PermutationSpec;
+/// use cachekit_policies::PolicyKind;
 ///
-/// let lru = PermutationSpec::lru(4);
+/// let lru = PermutationSpec::for_kind(PolicyKind::Lru, 4).unwrap();
 /// assert_eq!(lru.insertion_position(), 0);
 /// assert!(lru.hit_permutation(0).is_identity()); // MRU hit: no change
 /// ```
@@ -98,23 +99,42 @@ impl PermutationSpec {
         Ok(Self { hits, insertion })
     }
 
-    /// The LRU policy as a permutation spec: hits promote to the front,
-    /// insertion at the front.
-    pub fn lru(assoc: usize) -> Self {
-        Self {
-            hits: (0..assoc)
-                .map(|i| Permutation::promote_to_front(assoc, i))
-                .collect(),
-            insertion: 0,
+    /// The spec of a catalog kind at `assoc` ways, or `None` for a kind
+    /// the permutation formalism does not describe this way.
+    ///
+    /// LRU, FIFO, LIP, SLRU-k and LazyLRU are built from their
+    /// [`PolicyKind::recency_rule`]: Π_i promotes position `i` to the
+    /// front for `i ≥ promote_from` and is the identity below, and misses
+    /// insert at `insert_at` (`None` where that position is not below
+    /// the associativity). Tree-PLRU's spec is read out of the policy by
+    /// [`derive_permutation_spec`](crate::perm::derive_permutation_spec),
+    /// and is `None` where the derivation fails.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cachekit_core::perm::PermutationSpec;
+    /// use cachekit_policies::PolicyKind;
+    ///
+    /// let lip = PermutationSpec::for_kind(PolicyKind::Lip, 4).unwrap();
+    /// assert_eq!(lip.insertion_position(), 3);
+    /// assert!(PermutationSpec::for_kind(PolicyKind::Nru, 4).is_none());
+    /// ```
+    pub fn for_kind(kind: PolicyKind, assoc: usize) -> Option<Self> {
+        if kind == PolicyKind::TreePlru {
+            return crate::perm::derive_permutation_spec(Box::new(kind.build_state(assoc, 0))).ok();
         }
-    }
-
-    /// The FIFO policy: identity hit permutations, insertion at the front.
-    pub fn fifo(assoc: usize) -> Self {
-        Self {
-            hits: (0..assoc).map(|_| Permutation::identity(assoc)).collect(),
-            insertion: 0,
-        }
+        let rule = kind.recency_rule(assoc)?;
+        let hits = (0..assoc)
+            .map(|i| {
+                if i >= rule.promote_from {
+                    Permutation::promote_to_front(assoc, i)
+                } else {
+                    Permutation::identity(assoc)
+                }
+            })
+            .collect();
+        Self::new(hits, rule.insert_at).ok()
     }
 
     /// Gradual promotion: a hit moves the touched line up by `step`
@@ -146,16 +166,6 @@ impl PermutationSpec {
             })
             .collect();
         Self { hits, insertion: 0 }
-    }
-
-    /// The LIP policy: LRU's hit permutations, insertion at the back.
-    pub fn lip(assoc: usize) -> Self {
-        Self {
-            hits: (0..assoc)
-                .map(|i| Permutation::promote_to_front(assoc, i))
-                .collect(),
-            insertion: assoc - 1,
-        }
     }
 
     /// Number of ways.
@@ -244,9 +254,10 @@ impl fmt::Display for PermutationSpec {
 ///
 /// ```
 /// use cachekit_core::perm::{PermutationPolicy, PermutationSpec};
-/// use cachekit_policies::ReplacementPolicy;
+/// use cachekit_policies::{PolicyKind, ReplacementPolicy};
 ///
-/// let mut p = PermutationPolicy::new(PermutationSpec::lru(2));
+/// let lru = PermutationSpec::for_kind(PolicyKind::Lru, 2).unwrap();
+/// let mut p = PermutationPolicy::new(lru);
 /// p.on_fill(0);
 /// p.on_fill(1);
 /// p.on_hit(0);
@@ -357,7 +368,10 @@ impl ReplacementPolicy for PermutationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::{Fifo, Lip, Lru, PolicyKind};
+
+    fn spec(kind: PolicyKind, assoc: usize) -> PermutationSpec {
+        PermutationSpec::for_kind(kind, assoc).expect("a permutation kind")
+    }
 
     /// Drive two policies with the same script and assert equal victims.
     fn assert_behaviourally_equal(
@@ -387,36 +401,41 @@ mod tests {
     }
 
     #[test]
-    fn spec_lru_equals_concrete_lru() {
+    fn for_kind_specs_behave_as_their_kinds() {
+        // The interpreter over each recency-stack kind's spec, against the
+        // enum policy the simulator runs for the same kind.
         for assoc in [1usize, 2, 3, 4, 8] {
-            assert_behaviourally_equal(
-                Box::new(PermutationPolicy::new(PermutationSpec::lru(assoc))),
-                Box::new(Lru::new(assoc)),
-                assoc as u64,
-            );
+            let mut kinds = vec![
+                PolicyKind::Lru,
+                PolicyKind::Fifo,
+                PolicyKind::Lip,
+                PolicyKind::LazyLru,
+            ];
+            kinds.extend((0..assoc).map(|protected| PolicyKind::Slru { protected }));
+            for kind in kinds {
+                assert_behaviourally_equal(
+                    Box::new(PermutationPolicy::new(spec(kind, assoc))),
+                    Box::new(kind.build_state(assoc, 0)),
+                    assoc as u64,
+                );
+            }
         }
     }
 
     #[test]
-    fn spec_fifo_equals_concrete_fifo() {
-        for assoc in [1usize, 2, 4, 8] {
-            assert_behaviourally_equal(
-                Box::new(PermutationPolicy::new(PermutationSpec::fifo(assoc))),
-                Box::new(Fifo::new(assoc)),
-                assoc as u64,
-            );
+    fn for_kind_declines_what_it_cannot_describe() {
+        for kind in PolicyKind::non_permutation_kinds() {
+            assert_eq!(PermutationSpec::for_kind(kind, 4), None, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn spec_lip_equals_concrete_lip() {
-        for assoc in [2usize, 4, 8] {
-            assert_behaviourally_equal(
-                Box::new(PermutationPolicy::new(PermutationSpec::lip(assoc))),
-                Box::new(Lip::new(assoc)),
-                assoc as u64,
-            );
-        }
+        assert_eq!(
+            PermutationSpec::for_kind(PolicyKind::Random { seed: 1 }, 4),
+            None
+        );
+        assert_eq!(
+            PermutationSpec::for_kind(PolicyKind::Slru { protected: 4 }, 4),
+            None,
+            "no probationary position"
+        );
     }
 
     #[test]
@@ -436,7 +455,7 @@ mod tests {
 
     #[test]
     fn apply_miss_reports_eviction() {
-        let spec = PermutationSpec::lru(3);
+        let spec = spec(PolicyKind::Lru, 3);
         let mut order = vec!['a', 'b', 'c'];
         let evicted = spec.apply_miss(&mut order, 'x');
         assert_eq!(evicted, 'c');
@@ -448,11 +467,11 @@ mod tests {
         for assoc in [2usize, 4, 6] {
             assert_eq!(
                 PermutationSpec::promote_by(assoc, 0),
-                PermutationSpec::fifo(assoc)
+                spec(PolicyKind::Fifo, assoc)
             );
             assert_eq!(
                 PermutationSpec::promote_by(assoc, assoc),
-                PermutationSpec::lru(assoc)
+                spec(PolicyKind::Lru, assoc)
             );
         }
     }
@@ -480,7 +499,7 @@ mod tests {
 
     #[test]
     fn lip_spec_inserts_at_back() {
-        let spec = PermutationSpec::lip(3);
+        let spec = spec(PolicyKind::Lip, 3);
         let mut order = vec!['a', 'b', 'c'];
         let evicted = spec.apply_miss(&mut order, 'x');
         assert_eq!(evicted, 'c');
@@ -491,17 +510,17 @@ mod tests {
     fn policy_conforms_to_trait_contract() {
         for assoc in [1usize, 2, 4, 6] {
             cachekit_policies::conformance::assert_conformance(Box::new(PermutationPolicy::new(
-                PermutationSpec::lru(assoc),
+                spec(PolicyKind::Lru, assoc),
             )));
             cachekit_policies::conformance::assert_conformance(Box::new(PermutationPolicy::new(
-                PermutationSpec::fifo(assoc),
+                spec(PolicyKind::Fifo, assoc),
             )));
         }
     }
 
     #[test]
     fn priority_order_tracks_updates() {
-        let mut p = PermutationPolicy::new(PermutationSpec::lru(3));
+        let mut p = PermutationPolicy::new(spec(PolicyKind::Lru, 3));
         p.on_fill(0);
         p.on_fill(1);
         p.on_fill(2);
@@ -512,7 +531,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_permutations() {
-        let s = PermutationSpec::lru(2).render();
+        let s = spec(PolicyKind::Lru, 2).render();
         assert!(s.contains("Π_0"));
         assert!(s.contains("Π_1"));
         assert!(s.contains("insert at 0"));
@@ -521,8 +540,8 @@ mod tests {
     #[test]
     fn different_specs_give_different_behaviour() {
         // Sanity: FIFO and LRU specs diverge on a hit-protect pattern.
-        let mut lru = PermutationPolicy::new(PermutationSpec::lru(2));
-        let mut fifo = PermutationPolicy::new(PermutationSpec::fifo(2));
+        let mut lru = PermutationPolicy::new(spec(PolicyKind::Lru, 2));
+        let mut fifo = PermutationPolicy::new(spec(PolicyKind::Fifo, 2));
         for p in [&mut lru, &mut fifo] {
             p.on_fill(0);
             p.on_fill(1);
@@ -536,7 +555,7 @@ mod tests {
     fn works_inside_a_simulated_cache() {
         use cachekit_sim::{Cache, CacheConfig};
         let cfg = CacheConfig::new(1024, 4, 64).unwrap();
-        let spec = PermutationSpec::lru(4);
+        let spec = spec(PolicyKind::Lru, 4);
         let mut ours = Cache::with_policy_factory(cfg, "Perm-LRU", |_| {
             Box::new(PermutationPolicy::new(spec.clone()))
         });

@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn from_spec_replays_the_permutation_interpreter() {
-        let spec = PermutationSpec::lip(4);
+        let spec = PermutationSpec::for_kind(PolicyKind::Lip, 4).unwrap();
         let table = Arc::new(PermTable::from_spec(&spec, MAX_STATE_BUDGET).unwrap());
         let mut ts = table_set(table);
         let mut cs = CacheSet::from_state(PolicyState::from_boxed(Box::new(

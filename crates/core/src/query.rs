@@ -19,11 +19,11 @@
 //!
 //! ```
 //! use cachekit_core::query::Query;
-//! use cachekit_policies::Lru;
+//! use cachekit_policies::PolicyKind;
 //!
 //! let q: Query = "A B C A? B?".parse()?;
 //! // 2-way LRU: C evicted A, then A's re-fetch evicted B.
-//! let outcome = q.run_policy(&Lru::new(2));
+//! let outcome = q.run_policy(&PolicyKind::Lru.build_state(2, 0));
 //! assert_eq!(outcome.misses, vec![true, true]);
 //! # Ok::<(), cachekit_core::query::ParseQueryError>(())
 //! ```
@@ -278,7 +278,7 @@ fn block_name(id: u64) -> String {
 mod tests {
     use super::*;
     use crate::infer::SimOracle;
-    use cachekit_policies::{Fifo, Lru, PolicyKind, TreePlru};
+    use cachekit_policies::{PolicyKind, TreePlru};
     use cachekit_sim::{Cache, CacheConfig};
 
     #[test]
@@ -307,8 +307,8 @@ mod tests {
         // The textbook distinguishing experiment as a one-liner:
         // fill, re-touch A, add one more block, ask who survived.
         let q: Query = "A B C A D A? B?".parse().unwrap();
-        let lru = q.run_policy(&Lru::new(3));
-        let fifo = q.run_policy(&Fifo::new(3));
+        let lru = q.run_policy(&PolicyKind::Lru.build_state(3, 0));
+        let fifo = q.run_policy(&PolicyKind::Fifo.build_state(3, 0));
         // LRU: D evicts B (A was refreshed) -> A hit, B miss.
         assert_eq!(lru.pattern(), "H M");
         // FIFO: D evicts A (oldest fill) -> A miss; re-fetching A evicts
@@ -321,7 +321,7 @@ mod tests {
         // PLRU can evict a recently used block: the classic 4-way anomaly.
         let q: Query = "A B C D A E C?".parse().unwrap();
         let plru = q.run_policy(&TreePlru::new(4));
-        let lru = q.run_policy(&Lru::new(4));
+        let lru = q.run_policy(&PolicyKind::Lru.build_state(4, 0));
         assert_eq!(lru.pattern(), "H", "LRU keeps C");
         assert_eq!(plru.pattern(), "M", "PLRU's tree points at C after A E");
     }
@@ -346,10 +346,15 @@ mod tests {
 
     #[test]
     fn distinguishing_queries_are_synthesized_and_real() {
-        let q = Query::distinguishing(&Lru::new(2), &Fifo::new(2), 3, 100_000)
-            .expect("LRU and FIFO differ");
-        let lru = q.run_policy(&Lru::new(2));
-        let fifo = q.run_policy(&Fifo::new(2));
+        let q = Query::distinguishing(
+            &PolicyKind::Lru.build_state(2, 0),
+            &PolicyKind::Fifo.build_state(2, 0),
+            3,
+            100_000,
+        )
+        .expect("LRU and FIFO differ");
+        let lru = q.run_policy(&PolicyKind::Lru.build_state(2, 0));
+        let fifo = q.run_policy(&PolicyKind::Fifo.build_state(2, 0));
         assert_ne!(lru, fifo, "query {q} must distinguish");
         assert!(q.measured_count() >= 1);
     }
@@ -357,8 +362,10 @@ mod tests {
     #[test]
     fn distinguishing_returns_none_for_equivalent_policies() {
         let q = Query::distinguishing(
-            &Lru::new(2),
-            &crate::perm::PermutationPolicy::new(crate::perm::PermutationSpec::lru(2)),
+            &PolicyKind::Lru.build_state(2, 0),
+            &crate::perm::PermutationPolicy::new(
+                crate::perm::PermutationSpec::for_kind(PolicyKind::Lru, 2).unwrap(),
+            ),
             4,
             100_000,
         );
@@ -367,7 +374,7 @@ mod tests {
 
     #[test]
     fn eval_shortcut_works() {
-        let out = Query::eval("A A?", &Lru::new(2)).unwrap();
+        let out = Query::eval("A A?", &PolicyKind::Lru.build_state(2, 0)).unwrap();
         assert_eq!(out.pattern(), "H");
     }
 }

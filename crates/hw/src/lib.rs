@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod adversary;
-pub mod campaign;
 mod fault;
 pub mod fleet;
 mod latency;
@@ -53,9 +52,6 @@ mod tlb;
 mod vcpu;
 
 pub use adversary::{AdaptiveAdversary, Adversary, AdversaryStrategy};
-pub use campaign::{
-    survey, survey_fleet, survey_fleet_with_engine, survey_with_engine, LevelSurvey, MachineSurvey,
-};
 pub use fault::{FaultInjected, FaultKind, FaultRates, Faults};
 pub use latency::LatencyModel;
 pub use noise::NoiseModel;

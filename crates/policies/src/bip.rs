@@ -1,12 +1,12 @@
 //! Bimodal insertion policy (Qureshi et al., ISCA 2007).
 
-use crate::lru::RecencyStack;
+use crate::recency::RecencyStack;
 use crate::rng::Prng;
 use crate::{check_assoc, ReplacementPolicy};
 
 /// The bimodal insertion policy.
 ///
-/// Like [`Lip`](crate::Lip), but with probability `1/throttle` a new line
+/// Like LIP ([`PolicyKind::Lip`](crate::PolicyKind::Lip)), but with probability `1/throttle` a new line
 /// is inserted at the MRU position instead of the LRU position. This lets
 /// a small fraction of a streaming working set age into the cache, which
 /// recovers LRU-like behaviour when the working set *does* fit while

@@ -168,9 +168,8 @@ mod tests {
 
     #[test]
     fn two_way_bit_plru_equals_lru() {
-        use crate::Lru;
         let mut bp = BitPlru::new(2);
-        let mut lru = Lru::new(2);
+        let mut lru = crate::PolicyKind::Lru.build_state(2, 0);
         for &w in &[0usize, 1, 0, 0, 1, 1, 0, 1] {
             bp.on_hit(w);
             lru.on_hit(w);

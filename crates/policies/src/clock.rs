@@ -194,7 +194,7 @@ mod tests {
         // CLOCK only approximates LRU; the same script produces different
         // victim sequences (hand-position dependence).
         use crate::conformance::{run_script, Step};
-        use crate::Lru;
+        use crate::PolicyKind;
         let script = [
             Step::Fill(0),
             Step::Fill(1),
@@ -209,7 +209,7 @@ mod tests {
             Step::MissFill,
         ];
         let clock_victims = run_script(&mut Clock::new(3), &script);
-        let lru_victims = run_script(&mut Lru::new(3), &script);
+        let lru_victims = run_script(&mut PolicyKind::Lru.build_state(3, 0), &script);
         assert_eq!(clock_victims, vec![0, 2, 1, 2, 0]);
         assert_eq!(lru_victims, vec![1, 2, 0, 1, 2]);
     }

@@ -12,7 +12,7 @@
 //! through an [`Arc`]. Build a dueling cache with
 //! `Cache::with_policy_factory(cfg, label, |set| family.policy_for_set(set))`.
 
-use crate::lru::RecencyStack;
+use crate::recency::RecencyStack;
 use crate::rng::Prng;
 use crate::{check_assoc, ReplacementPolicy, Srrip};
 use std::sync::atomic::{AtomicI32, Ordering};

@@ -257,6 +257,27 @@ fn branchy_step<K: LaneKernel>(kern: &K, w: &mut K::Word, m: u32, filled: &mut u
     }
 }
 
+/// Pack the stack of a recency-stack state that runs `kind`'s rule at
+/// `A` ways; `None` for any other state.
+fn pack_stack<W: StackWord, const A: usize>(state: &PolicyState, kind: PolicyKind) -> Option<W> {
+    match state {
+        PolicyState::Recency(r)
+            if r.associativity() == A && kind.recency_rule(A) == Some(r.rule()) =>
+        {
+            Some(W::from_stack(r.stack().as_slice()))
+        }
+        _ => None,
+    }
+}
+
+/// Write a stack word back into the recency-stack state it was packed
+/// from.
+fn unpack_stack<W: StackWord>(w: W, state: &mut PolicyState) {
+    if let PolicyState::Recency(r) = state {
+        w.to_stack(r.stack_mut().as_mut_slice());
+    }
+}
+
 /// LRU over a SWAR recency-stack word: hits and fills promote to MRU,
 /// the victim is the top (LRU) byte.
 #[derive(Debug, Clone, Copy, Default)]
@@ -298,18 +319,11 @@ impl<W: StackWord, const A: usize> LaneKernel for LruKern<W, A> {
     }
 
     fn pack(&self, state: &PolicyState) -> Option<W> {
-        match state {
-            PolicyState::Lru(l) if l.stack().assoc() == A => {
-                Some(W::from_stack(l.stack().as_slice()))
-            }
-            _ => None,
-        }
+        pack_stack::<W, A>(state, PolicyKind::Lru)
     }
 
     fn unpack(&self, w: W, state: &mut PolicyState) {
-        if let PolicyState::Lru(l) = state {
-            w.to_stack(l.stack_mut().as_mut_slice());
-        }
+        unpack_stack(w, state);
     }
 
     // Branchless, one pass over the word: `promote_or_rotate` handles
@@ -368,18 +382,11 @@ impl<W: StackWord, const A: usize> LaneKernel for FifoKern<W, A> {
     }
 
     fn pack(&self, state: &PolicyState) -> Option<W> {
-        match state {
-            PolicyState::Fifo(f) if f.stack().assoc() == A => {
-                Some(W::from_stack(f.stack().as_slice()))
-            }
-            _ => None,
-        }
+        pack_stack::<W, A>(state, PolicyKind::Fifo)
     }
 
     fn unpack(&self, w: W, state: &mut PolicyState) {
-        if let PolicyState::Fifo(f) = state {
-            w.to_stack(f.stack_mut().as_mut_slice());
-        }
+        unpack_stack(w, state);
     }
 
     // Branchless: a FIFO fill promotes the tail byte, which is a plain
@@ -987,18 +994,20 @@ pub fn kernel_available(kind: PolicyKind, assoc: usize) -> bool {
     KernelCache::kernel_name(kind, assoc).is_some()
 }
 
-/// Replay a read stream against **one** set through the matching
-/// monomorphized kernel: the policy state is packed into a kernel word,
-/// the loop runs branchless over the caller's tag row, and the word is
-/// unpacked back. Returns `None` (the caller replays the stream one
-/// access at a time) when no kernel matches the state's
-/// policy/associativity or the set has invalidation holes (`valid` not
+/// Replay a read stream against **one** set through the kernel compiled
+/// for `kind` at the state's associativity: the policy state is packed
+/// into a kernel word, the loop runs branchless over the caller's tag
+/// row, and the word is unpacked back. Returns `None` (the caller
+/// replays the stream one access at a time) when no kernel is compiled
+/// for the pair, the state is not one that kernel packs (a set whose
+/// policy was replaced), or the set has invalidation holes (`valid` not
 /// a dense prefix).
 ///
 /// Mirrors the cache-set protocol exactly: misses fill the lowest
 /// invalid way while warming, then the policy victim; a refill clears
 /// the way's dirty bit. Returns `(hits, misses)`.
 pub fn run_set_stream(
+    kind: PolicyKind,
     state: &mut PolicyState,
     tags: &mut [u64],
     valid: &mut u128,
@@ -1007,9 +1016,9 @@ pub fn run_set_stream(
 ) -> Option<(u64, u64)> {
     macro_rules! dispatch_set_stream {
         ($(($variant:ident, $kern:ty, $kind:pat, $assoc:literal)),*) => {
-            match (PolicyKind::parse_label(state.label()), state.associativity()) {
+            match (kind, state.associativity()) {
                 $(
-                    (Some($kind), $assoc) => {
+                    ($kind, $assoc) => {
                         run_one::<$kern>(<$kern>::default(), state, tags, valid, dirty, stream)
                     }
                 )*
@@ -1168,10 +1177,10 @@ mod tests {
 
     #[test]
     fn promote_matches_recency_stack() {
-        use crate::Lru;
+        use crate::RecencyPolicy;
         for assoc in [4usize, 8, 16] {
-            let mut lru = Lru::new(assoc);
-            let kern_word = |l: &Lru| -> Vec<u8> { l.stack().as_slice().to_vec() };
+            let mut lru = RecencyPolicy::new(PolicyKind::Lru, assoc);
+            let kern_word = |l: &RecencyPolicy| -> Vec<u8> { l.stack().as_slice().to_vec() };
             let mut rng = SplitMix64::new(7);
             match assoc {
                 4 => {
@@ -1263,7 +1272,7 @@ mod tests {
                     .map(|&(_, t)| t)
                     .collect();
                 let (hits, misses) =
-                    run_set_stream(&mut state, &mut tags, &mut valid, &mut dirty, &st)
+                    run_set_stream(kind, &mut state, &mut tags, &mut valid, &mut dirty, &st)
                         .unwrap_or_else(|| panic!("no kernel for {kind:?}@{assoc}"));
                 let mut r = RefSet::new(kind, assoc);
                 let mut ref_hits = 0u64;
@@ -1290,16 +1299,39 @@ mod tests {
         let mut tags = vec![0u64; 8];
         let mut dirty = 0u128;
         // A hole in the valid mask (way 1 invalidated) must fall back.
+        let lru = PolicyKind::Lru;
         let mut holed = 0b101u128;
-        assert!(run_set_stream(&mut state, &mut tags, &mut holed, &mut dirty, &[1]).is_none());
+        assert!(run_set_stream(lru, &mut state, &mut tags, &mut holed, &mut dirty, &[1]).is_none());
         // A kind with no kernel must fall back.
-        let mut clock = PolicyKind::Clock.build_state(8, 0);
+        let clock = PolicyKind::Clock;
+        let mut clock_state = clock.build_state(8, 0);
         let mut valid = 0u128;
-        assert!(run_set_stream(&mut clock, &mut tags, &mut valid, &mut dirty, &[1]).is_none());
+        assert!(run_set_stream(
+            clock,
+            &mut clock_state,
+            &mut tags,
+            &mut valid,
+            &mut dirty,
+            &[1]
+        )
+        .is_none());
+        // A state the kind's kernel does not pack (LIP's stack under the
+        // LRU kernel, a boxed LRU) must fall back.
+        for mut foreign in [
+            PolicyKind::Lip.build_state(8, 0),
+            PolicyState::from_boxed(Box::new(PolicyKind::Lru.build_state(8, 0))),
+        ] {
+            assert!(
+                run_set_stream(lru, &mut foreign, &mut tags, &mut valid, &mut dirty, &[1])
+                    .is_none()
+            );
+        }
         // An unsupported associativity must fall back.
-        let mut lru6 = PolicyKind::Lru.build_state(6, 0);
+        let mut lru6 = lru.build_state(6, 0);
         let mut tags6 = vec![0u64; 6];
         let mut valid6 = 0u128;
-        assert!(run_set_stream(&mut lru6, &mut tags6, &mut valid6, &mut dirty, &[1]).is_none());
+        assert!(
+            run_set_stream(lru, &mut lru6, &mut tags6, &mut valid6, &mut dirty, &[1]).is_none()
+        );
     }
 }

@@ -1,10 +1,8 @@
 //! Policy construction by name.
 
+use crate::recency::{RecencyPolicy, RecencyRule};
 use crate::rng::mix64;
-use crate::{
-    Bip, BitPlru, Brrip, Clock, Fifo, LazyLru, Lip, Lru, Nru, PolicyState, Qlru, RandomPolicy,
-    Slru, Srrip, TreePlru,
-};
+use crate::{Bip, BitPlru, Brrip, Clock, Nru, PolicyState, Qlru, RandomPolicy, Srrip, TreePlru};
 
 /// A constructible replacement-policy identity.
 ///
@@ -89,14 +87,15 @@ impl PolicyKind {
     /// parameter is invalid (zero throttle, RRPV width outside `1..=7`).
     pub fn build_state(self, assoc: usize, salt: u64) -> PolicyState {
         match self {
-            PolicyKind::Lru => PolicyState::Lru(Lru::new(assoc)),
-            PolicyKind::Fifo => PolicyState::Fifo(Fifo::new(assoc)),
+            PolicyKind::Lru
+            | PolicyKind::Fifo
+            | PolicyKind::Lip
+            | PolicyKind::Slru { .. }
+            | PolicyKind::LazyLru => PolicyState::Recency(RecencyPolicy::new(self, assoc)),
             PolicyKind::TreePlru => PolicyState::TreePlru(TreePlru::new(assoc)),
             PolicyKind::BitPlru => PolicyState::BitPlru(BitPlru::new(assoc)),
             PolicyKind::Nru => PolicyState::Nru(Nru::new(assoc)),
             PolicyKind::Clock => PolicyState::Clock(Clock::new(assoc)),
-            PolicyKind::Lip => PolicyState::Lip(Lip::new(assoc)),
-            PolicyKind::Slru { protected } => PolicyState::Slru(Slru::new(assoc, protected)),
             PolicyKind::Bip { throttle } => {
                 PolicyState::Bip(Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))))
             }
@@ -111,8 +110,38 @@ impl PolicyKind {
             PolicyKind::Random { seed } => {
                 PolicyState::Random(Box::new(RandomPolicy::new(assoc, mix64(seed, salt))))
             }
-            PolicyKind::LazyLru => PolicyState::LazyLru(LazyLru::new(assoc)),
         }
+    }
+
+    /// The recency-stack rule of the kind at `assoc` ways, or `None` for
+    /// a kind that is not a recency stack. This is the one definition of
+    /// these five kinds; the policy the simulator runs and the
+    /// permutation spec the inference catalog holds both read it.
+    ///
+    /// | kind | hits at stack positions ≥ `promote_from` promote to MRU | `insert_at` |
+    /// |---|---|---|
+    /// | LRU | 0 | 0 |
+    /// | FIFO | A (never) | 0 |
+    /// | LIP | 0 | A − 1 |
+    /// | SLRU-k | 0 | k |
+    /// | LazyLRU | A/2 | 0 |
+    ///
+    /// The rule does not check SLRU's protected size against the
+    /// associativity; [`validate_for_assoc`](Self::validate_for_assoc)
+    /// does.
+    pub fn recency_rule(self, assoc: usize) -> Option<RecencyRule> {
+        let (promote_from, insert_at) = match self {
+            PolicyKind::Lru => (0, 0),
+            PolicyKind::Fifo => (assoc, 0),
+            PolicyKind::Lip => (0, assoc.saturating_sub(1)),
+            PolicyKind::Slru { protected } => (0, protected),
+            PolicyKind::LazyLru => (assoc / 2, 0),
+            _ => return None,
+        };
+        Some(RecencyRule {
+            promote_from,
+            insert_at,
+        })
     }
 
     /// Check the kind's parameters against an associativity without

@@ -19,9 +19,9 @@
 //! ## Example
 //!
 //! ```
-//! use cachekit_policies::{Lru, ReplacementPolicy};
+//! use cachekit_policies::{PolicyKind, ReplacementPolicy};
 //!
-//! let mut p = Lru::new(4);
+//! let mut p = PolicyKind::Lru.build_state(4, 0);
 //! // Warm up: fill ways 0..4 (the surrounding cache decides the ways).
 //! for w in 0..4 {
 //!     p.on_fill(w);
@@ -39,15 +39,11 @@ mod bip;
 mod bit_plru;
 mod clock;
 mod dip;
-mod fifo;
 mod kind;
-mod lazy_lru;
-mod lip;
-mod lru;
 mod nru;
 mod qlru;
 mod random;
-mod slru;
+mod recency;
 mod srrip;
 mod state;
 mod tree_plru;
@@ -56,15 +52,11 @@ pub use bip::Bip;
 pub use bit_plru::BitPlru;
 pub use clock::Clock;
 pub use dip::{Dip, DipFamily, Drrip, DrripFamily, DuelState};
-pub use fifo::Fifo;
 pub use kind::PolicyKind;
-pub use lazy_lru::LazyLru;
-pub use lip::Lip;
-pub use lru::Lru;
 pub use nru::Nru;
 pub use qlru::Qlru;
 pub use random::RandomPolicy;
-pub use slru::Slru;
+pub use recency::{RecencyPolicy, RecencyRule};
 pub use srrip::{Brrip, Srrip};
 pub use state::PolicyState;
 pub use tree_plru::TreePlru;

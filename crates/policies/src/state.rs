@@ -1,9 +1,11 @@
 //! Inline, enum-dispatched policy state — the allocation-free execution
 //! engine behind every cache set.
 //!
-//! [`PolicyState`] holds one variant per [`PolicyKind`](crate::PolicyKind)
-//! (plus [`Other`](PolicyState::Other) for policies outside the kind
-//! catalog, such as the DIP/DRRIP set-dueling families). The simulator
+//! [`PolicyState`] holds one variant per [`PolicyKind`](crate::PolicyKind),
+//! except that the five recency-stack kinds share
+//! [`Recency`](PolicyState::Recency), plus [`Other`](PolicyState::Other)
+//! for policies outside the kind catalog, such as the DIP/DRRIP
+//! set-dueling families. The simulator
 //! stores it *inline* in each set: no heap box per set, no virtual call
 //! per access — every `on_hit`/`victim`/`on_fill` is a direct `match`
 //! that the compiler can inline into the access loop.
@@ -12,10 +14,9 @@
 //! gives a trait object with identical behaviour where one is needed.
 
 use crate::{
-    Bip, BitPlru, Clock, Fifo, LazyLru, Lip, Lru, Nru, Qlru, RandomPolicy, ReplacementPolicy, Slru,
+    Bip, BitPlru, Brrip, Clock, Nru, Qlru, RandomPolicy, RecencyPolicy, ReplacementPolicy, Srrip,
     TreePlru,
 };
-use crate::{Brrip, Srrip};
 
 /// Replacement state of one cache set, dispatched by `match` instead of
 /// through a vtable.
@@ -24,15 +25,17 @@ use crate::{Brrip, Srrip};
 /// via the `From` conversions from the concrete policy types, or wrap an
 /// arbitrary boxed policy with [`from_boxed`](Self::from_boxed).
 ///
+/// The enum is at most 48 bytes, so a `CacheSet` embedding it stays one
+/// small contiguous block; `tests/engine_differential.rs` pins the size.
+///
 /// All trait methods behave bit-identically to the wrapped concrete
 /// policy; `tests/engine_differential.rs` enforces this for every
 /// differential kind.
 #[derive(Debug, Clone)]
 pub enum PolicyState {
-    /// Least recently used.
-    Lru(Lru),
-    /// First-in first-out.
-    Fifo(Fifo),
+    /// LRU, FIFO, LIP, SLRU-k or LazyLRU: one recency stack and the
+    /// kind's [`RecencyRule`](crate::RecencyRule).
+    Recency(RecencyPolicy),
     /// Tree-based pseudo-LRU.
     TreePlru(TreePlru),
     /// Bit-based pseudo-LRU.
@@ -41,10 +44,6 @@ pub enum PolicyState {
     Nru(Nru),
     /// CLOCK / second chance.
     Clock(Clock),
-    /// LRU-insertion policy.
-    Lip(Lip),
-    /// Segmented LRU.
-    Slru(Slru),
     /// Bimodal insertion policy (boxed: stochastic policies carry a
     /// PRNG, and keeping the fat rare variants behind a pointer keeps
     /// the enum — and every cache set embedding it — small).
@@ -57,8 +56,6 @@ pub enum PolicyState {
     Brrip(Box<Brrip>),
     /// Uniform random replacement (boxed, like [`PolicyState::Bip`]).
     Random(Box<RandomPolicy>),
-    /// LRU with lazy promotion.
-    LazyLru(LazyLru),
     /// Any policy outside the [`PolicyKind`](crate::PolicyKind) catalog
     /// (set-dueling DIP/DRRIP members, derived permutation policies,
     /// compiled-table adapters). Pays the old boxed dispatch cost.
@@ -69,20 +66,16 @@ pub enum PolicyState {
 macro_rules! dispatch {
     ($self:expr, $p:ident => $e:expr) => {
         match $self {
-            PolicyState::Lru($p) => $e,
-            PolicyState::Fifo($p) => $e,
+            PolicyState::Recency($p) => $e,
             PolicyState::TreePlru($p) => $e,
             PolicyState::BitPlru($p) => $e,
             PolicyState::Nru($p) => $e,
             PolicyState::Clock($p) => $e,
-            PolicyState::Lip($p) => $e,
-            PolicyState::Slru($p) => $e,
             PolicyState::Bip($p) => $e,
             PolicyState::Srrip($p) => $e,
             PolicyState::Qlru($p) => $e,
             PolicyState::Brrip($p) => $e,
             PolicyState::Random($p) => $e,
-            PolicyState::LazyLru($p) => $e,
             PolicyState::Other($p) => $e,
         }
     };
@@ -95,31 +88,6 @@ impl PolicyState {
     /// catalog policies.
     pub fn from_boxed(policy: Box<dyn ReplacementPolicy>) -> Self {
         PolicyState::Other(policy)
-    }
-
-    /// Static family label of the variant, e.g. `"LRU"` or `"SRRIP"`.
-    ///
-    /// Unlike [`ReplacementPolicy::name`] this does not allocate and
-    /// does not carry parameters (`"SLRU"`, not `"SLRU-2"`); `Other`
-    /// policies all report `"other"`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PolicyState::Lru(_) => "LRU",
-            PolicyState::Fifo(_) => "FIFO",
-            PolicyState::TreePlru(_) => "PLRU",
-            PolicyState::BitPlru(_) => "BitPLRU",
-            PolicyState::Nru(_) => "NRU",
-            PolicyState::Clock(_) => "CLOCK",
-            PolicyState::Lip(_) => "LIP",
-            PolicyState::Slru(_) => "SLRU",
-            PolicyState::Bip(_) => "BIP",
-            PolicyState::Srrip(_) => "SRRIP",
-            PolicyState::Qlru(_) => "QLRU",
-            PolicyState::Brrip(_) => "BRRIP",
-            PolicyState::Random(_) => "Random",
-            PolicyState::LazyLru(_) => "LazyLRU",
-            PolicyState::Other(_) => "other",
-        }
     }
 }
 
@@ -185,7 +153,7 @@ macro_rules! from_concrete {
     };
 }
 
-from_concrete!(Lru, Fifo, TreePlru, BitPlru, Nru, Clock, Lip, Slru, Srrip, Qlru, LazyLru,);
+from_concrete!(TreePlru, BitPlru, Nru, Clock, Srrip, Qlru);
 
 impl From<Bip> for PolicyState {
     fn from(p: Bip) -> Self {
@@ -209,33 +177,6 @@ impl From<RandomPolicy> for PolicyState {
 mod tests {
     use super::*;
     use crate::PolicyKind;
-
-    #[test]
-    fn enum_matches_concrete_step_for_step() {
-        let mut concrete = Lru::new(4);
-        let mut state = PolicyState::from(Lru::new(4));
-        for w in [0usize, 1, 2, 3, 1, 0] {
-            concrete.on_fill(w);
-            state.on_fill(w);
-        }
-        concrete.on_hit(2);
-        state.on_hit(2);
-        assert_eq!(concrete.victim(), state.victim());
-        assert_eq!(concrete.state_key(), state.state_key());
-    }
-
-    #[test]
-    fn labels_are_static_family_names() {
-        assert_eq!(
-            PolicyState::from(Slru::new(4, 2)).label(),
-            "SLRU",
-            "label drops parameters"
-        );
-        assert_eq!(
-            PolicyState::from_boxed(Box::new(Lru::new(2))).label(),
-            "other"
-        );
-    }
 
     #[test]
     fn name_and_determinism_delegate() {

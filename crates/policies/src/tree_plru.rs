@@ -277,12 +277,12 @@ impl ReplacementPolicy for TreePlru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lru;
+    use crate::PolicyKind;
 
     #[test]
     fn two_way_plru_equals_lru() {
         let mut plru = TreePlru::new(2);
-        let mut lru = Lru::new(2);
+        let mut lru = PolicyKind::Lru.build_state(2, 0);
         let script = [0usize, 1, 1, 0, 1, 0, 0, 1, 1];
         for &w in &script {
             plru.on_hit(w);
@@ -330,7 +330,7 @@ mod tests {
         // Classic PLRU anomaly: the victim is not always the least
         // recently used way.
         let mut plru = TreePlru::new(4);
-        let mut lru = Lru::new(4);
+        let mut lru = PolicyKind::Lru.build_state(4, 0);
         // Access pattern chosen so the tree points at a non-LRU way:
         // after 0,1,2,3 the hit on 0 flips the root to the right subtree,
         // where the pair bit points at way 2 — but way 1 is the LRU way.

@@ -1,12 +1,13 @@
 //! The LRU result cache: canonical-key hashes to stored response
 //! bodies.
 //!
-//! Replacement decisions are delegated to [`cachekit_policies::Lru`] —
-//! the same policy type the paper's evaluation simulates — so the
-//! serving layer literally eats its own dog food. Each shard is a small
-//! fully-associative "cache set": a slot vector indexed by way plus one
-//! `Lru` instance tracking recency, exactly how `cachekit_sim` wires
-//! policies into sets.
+//! Replacement decisions are delegated to the LRU policy the paper's
+//! evaluation simulates, built by
+//! [`PolicyKind::build_state`](cachekit_policies::PolicyKind::build_state)
+//! — so the serving layer literally eats its own dog food. Each shard is
+//! a small fully-associative "cache set": a slot vector indexed by way
+//! plus one LRU [`PolicyState`] tracking recency, exactly how
+//! `cachekit_sim` wires policies into sets.
 //!
 //! Sharding serves two masters: it bounds the linear key scan per
 //! lookup (a shard holds at most [`MAX_WAYS`] entries) and it keeps
@@ -14,7 +15,7 @@
 //! their high hash bits, so the low bits — which FNV-1a mixes best —
 //! still spread entries within a shard.
 
-use cachekit_policies::{Lru, ReplacementPolicy};
+use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -28,14 +29,14 @@ struct Entry {
 }
 
 struct Shard {
-    lru: Lru,
+    lru: PolicyState,
     slots: Vec<Option<Entry>>,
 }
 
 impl Shard {
     fn new(ways: usize) -> Self {
         Shard {
-            lru: Lru::new(ways),
+            lru: PolicyKind::Lru.build_state(ways, 0),
             slots: (0..ways).map(|_| None).collect(),
         }
     }

@@ -798,9 +798,12 @@ impl AttackScoreRequest {
 }
 
 /// Refuse a request whose workloads would be sized for more than
-/// [`MAX_SIMULATE_LINES`] lines, naming the line count and the cap.
-fn check_lines(capacity: u64, line: u64) -> Result<(), RequestError> {
-    let lines = capacity / line;
+/// [`MAX_SIMULATE_LINES`] lines, naming the line count and the cap. The
+/// CLI refuses the same geometries through this check.
+pub fn check_lines(capacity: u64, line: u64) -> Result<(), RequestError> {
+    let lines = capacity
+        .checked_div(line)
+        .ok_or_else(|| bad("line size must be at least 1"))?;
     if lines > MAX_SIMULATE_LINES {
         return Err(bad(format!(
             "capacity {capacity} at line size {line} is {lines} lines, over the \

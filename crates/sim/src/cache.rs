@@ -2,6 +2,7 @@
 
 use crate::set::SetOutcome;
 use crate::{CacheConfig, CacheSet, CacheStats};
+use cachekit_policies::kernel::KernelCache;
 use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 
 /// Outcome of one cache access.
@@ -64,10 +65,9 @@ pub struct Cache {
     /// listed. Capped at the set count; a full list means "walk every
     /// set" (duplicates arise when a set is emptied and refilled).
     filled_sets: Vec<usize>,
-    /// Whether some set holds a boxed [`PolicyState::Other`] policy, which
-    /// no batch kernel runs and which may share state with other sets
-    /// (see [`access_many`](Self::access_many)).
-    boxed: bool,
+    /// The batch kernel [`access_many`](Self::access_many) runs, with the
+    /// kind it was compiled for; picked once, by [`new`](Self::new).
+    kernel: Option<(PolicyKind, &'static str)>,
     stats: CacheStats,
     policy_label: String,
 }
@@ -76,20 +76,21 @@ impl Cache {
     /// Create a cache whose sets all use policies of `kind`, stored
     /// inline as enum-dispatched [`PolicyState`]s.
     pub fn new(config: CacheConfig, kind: PolicyKind) -> Self {
-        Self::with_state_factory(config, kind.label(), |set| {
+        let mut cache = Self::with_state_factory(config, kind.label(), |set| {
             kind.build_state(config.associativity(), set)
-        })
+        });
+        cache.kernel = KernelCache::kernel_name(kind, config.associativity()).map(|k| (kind, k));
+        cache
     }
 
     /// Create a cache with one inline policy state per set produced by
-    /// `factory` (called with the set index) — the enum-engine sibling of
-    /// [`with_policy_factory`](Self::with_policy_factory).
+    /// `factory` (called with the set index), and no batch kernel.
     ///
     /// # Panics
     ///
     /// Panics if a produced policy's associativity does not match the
     /// configuration.
-    pub fn with_state_factory(
+    fn with_state_factory(
         config: CacheConfig,
         policy_label: impl Into<String>,
         mut factory: impl FnMut(u64) -> PolicyState,
@@ -105,14 +106,11 @@ impl Cache {
                 CacheSet::from_state(p)
             })
             .collect();
-        let boxed = sets
-            .iter()
-            .any(|s| matches!(s.policy_state(), PolicyState::Other(_)));
         Self {
             config,
             sets,
             filled_sets: Vec::new(),
-            boxed,
+            kernel: None,
             stats: CacheStats::default(),
             policy_label: policy_label.into(),
         }
@@ -124,9 +122,8 @@ impl Cache {
     /// This is the extension point for policies outside the
     /// [`PolicyKind`] catalog (set-dueling families, derived permutation
     /// policies); each box is wrapped in [`PolicyState::from_boxed`] and
-    /// keeps its dynamic-dispatch cost. Catalog policies should go
-    /// through [`new`](Self::new) or
-    /// [`with_state_factory`](Self::with_state_factory).
+    /// keeps its dynamic-dispatch cost, and no batch kernel runs it.
+    /// Catalog policies should go through [`new`](Self::new).
     ///
     /// # Panics
     ///
@@ -369,17 +366,14 @@ impl Cache {
         delta
     }
 
-    /// The batch kernel `access_many` will use, if the cache's policy
-    /// and associativity have one compiled (e.g. `"lru16/swar128"`) —
-    /// `None` means `access_many` runs one access at a time. A cache
-    /// holding boxed policies has none, whatever its label. Recorded by
-    /// the serving layer and the benchmarks as engine metadata.
+    /// The batch kernel `access_many` will use, if the cache was built
+    /// by [`new`](Self::new) for a policy and associativity with one
+    /// compiled (e.g. `"lru16/swar128"`) — `None` means `access_many`
+    /// runs one access at a time. A cache holding boxed policies has
+    /// none, whatever its label. Recorded by the serving layer and the
+    /// benchmarks as engine metadata.
     pub fn batch_kernel(&self) -> Option<&'static str> {
-        if self.boxed {
-            return None;
-        }
-        let kind = PolicyKind::parse_label(&self.policy_label)?;
-        cachekit_policies::kernel::KernelCache::kernel_name(kind, self.config.associativity())
+        self.kernel.map(|(_, name)| name)
     }
 
     /// Run a stream of read accesses in one call, returning
@@ -404,10 +398,10 @@ impl Cache {
     /// PSEL counter from their leader sets, and bucketing would reorder
     /// those updates.
     pub fn access_many(&mut self, addrs: &[u64]) -> (u64, u64) {
-        if self.batch_kernel().is_none() {
+        let Some((kind, _)) = self.kernel else {
             let delta = self.run_trace(addrs.iter().copied());
             return (delta.hits, delta.misses);
-        }
+        };
         let mut runs: Vec<Vec<u64>> = vec![Vec::new(); self.sets.len()];
         for &addr in addrs {
             runs[self.config.set_index(addr)].push(self.config.tag(addr));
@@ -421,7 +415,7 @@ impl Cache {
             let set = &mut self.sets[index];
             let occ_before = set.occupancy() as u64;
             let dirty_before = set.dirty_lines();
-            let (h, m) = set.access_many(run);
+            let (h, m) = set.access_many(kind, run);
             let occ_after = set.occupancy() as u64;
             hits += h;
             misses += m;
@@ -461,7 +455,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::Lru;
 
     fn small_lru() -> Cache {
         Cache::new(CacheConfig::new(1024, 2, 64).unwrap(), PolicyKind::Lru)
@@ -701,7 +694,8 @@ mod tests {
         // Boxed policies run one access at a time whatever their label
         // (serve labels its table-adapter caches with the catalog name).
         let cfg = CacheConfig::new(32768, 8, 64).unwrap();
-        let boxed = Cache::with_policy_factory(cfg, "LRU", |_| Box::new(Lru::new(8)));
+        let boxed =
+            Cache::with_policy_factory(cfg, "LRU", |_| Box::new(PolicyKind::Lru.build_state(8, 0)));
         assert_eq!(boxed.batch_kernel(), None);
     }
 

@@ -1,6 +1,6 @@
 //! A single cache set: tags, validity and replacement state.
 
-use cachekit_policies::{PolicyState, ReplacementPolicy};
+use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 
 /// One set of a set-associative cache.
 ///
@@ -278,21 +278,22 @@ impl CacheSet {
     /// returning `(hits, misses)`.
     ///
     /// Behaviour is access-for-access identical to calling
-    /// [`access_tag`](Self::access_tag) per element. Policies with a
-    /// compiled batch kernel (LRU/FIFO/PLRU/NRU at associativity 4/8/16,
-    /// see `cachekit_policies::kernel`) run the monomorphized loop over
-    /// the raw tag array; a set with invalidation holes, or a policy
-    /// without a kernel, replays the stream one access at a time.
-    pub(crate) fn access_many(&mut self, stream: &[u64]) -> (u64, u64) {
+    /// [`access_tag`](Self::access_tag) per element. When `kind` has a
+    /// compiled batch kernel at this associativity (LRU/FIFO/PLRU/NRU at
+    /// 4/8/16 ways, see `cachekit_policies::kernel`) and the set's policy
+    /// state is that kind's, the monomorphized loop runs over the raw
+    /// tag array; a set with invalidation holes, or any other policy,
+    /// replays the stream one access at a time.
+    pub(crate) fn access_many(&mut self, kind: PolicyKind, stream: &[u64]) -> (u64, u64) {
         let CacheSet {
             tags,
             valid,
             dirty,
             policy,
         } = self;
-        if let Some(counts) =
-            cachekit_policies::kernel::run_set_stream(policy, &mut *tags, valid, dirty, stream)
-        {
+        if let Some(counts) = cachekit_policies::kernel::run_set_stream(
+            kind, policy, &mut *tags, valid, dirty, stream,
+        ) {
             return counts;
         }
         let hits = stream
@@ -425,10 +426,9 @@ impl CacheSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekit_policies::{Lru, PolicyKind};
 
     fn lru_set(assoc: usize) -> CacheSet {
-        CacheSet::from_state(PolicyState::from(Lru::new(assoc)))
+        CacheSet::from_state(PolicyKind::Lru.build_state(assoc, 0))
     }
 
     #[test]
@@ -573,7 +573,7 @@ mod tests {
             let mut batched = CacheSet::from_state(kind.build_state(4, 9));
             let mut serial = CacheSet::from_state(kind.build_state(4, 9));
             let stream: Vec<u64> = (0..200u64).map(|i| (i * 7 + i * i / 5) % 11).collect();
-            let (hits, misses) = batched.access_many(&stream);
+            let (hits, misses) = batched.access_many(kind, &stream);
             let mut serial_hits = 0;
             for &tag in &stream {
                 if serial.access_tag(tag).is_hit() {
@@ -657,7 +657,7 @@ mod tests {
         s.access_rw(2, false);
         // Batched refill displaces dirty tag 1; the way must not stay
         // dirty for the incoming tag.
-        s.access_many(&[3]);
+        s.access_many(PolicyKind::Lru, &[3]);
         assert!(!s.is_dirty(3));
         assert!(!s.contains(1));
     }

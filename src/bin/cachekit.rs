@@ -26,7 +26,7 @@ use cachekit::core::perm::derive_permutation_spec;
 use cachekit::core::query::Query;
 use cachekit::hw::{fleet, CacheLevel, LevelOracle, MeasureMode};
 use cachekit::policies::PolicyKind;
-use cachekit::serve::{ServeConfig, Server};
+use cachekit::serve::{proto, ServeConfig, Server};
 use cachekit::sim::{Cache, CacheConfig};
 use cachekit::trace::{io, workloads};
 use std::collections::HashMap;
@@ -138,8 +138,12 @@ fn parse_u64(
     }
 }
 
-fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    PolicyKind::parse_label(name).ok_or_else(|| format!("unknown policy {name:?}"))
+/// Parse a policy name for a set of `assoc` ways, refusing an
+/// associativity or a parameter the policy cannot be built with.
+fn parse_policy(name: &str, assoc: usize) -> Result<PolicyKind, String> {
+    let kind = PolicyKind::parse_label(name).ok_or_else(|| format!("unknown policy {name:?}"))?;
+    kind.validate_for_assoc(assoc)?;
+    Ok(kind)
 }
 
 fn parse_level(flags: &HashMap<String, String>) -> Result<CacheLevel, String> {
@@ -189,10 +193,11 @@ fn resolve_ops(flags: &HashMap<String, String>, capacity: u64) -> Result<Vec<io:
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
-    let policy = parse_policy(flag(&flags, "policy")?)?;
     let capacity = parse_u64(&flags, "capacity", None)?;
     let assoc = parse_u64(&flags, "assoc", None)? as usize;
     let line = parse_u64(&flags, "line", Some(64))?;
+    let policy = parse_policy(flag(&flags, "policy")?, assoc)?;
+    proto::check_lines(capacity, line).map_err(|e| e.to_string())?;
     let config = CacheConfig::new(capacity, assoc, line).map_err(|e| e.to_string())?;
 
     let ops = resolve_ops(&flags, capacity)?;
@@ -221,18 +226,16 @@ fn cmd_hierarchy(args: &[String]) -> Result<(), String> {
                 "level {i}: expected POLICY:CAPACITY:ASSOC, got {part:?}"
             ));
         };
-        let policy = parse_policy(policy)?;
         let capacity: u64 = capacity
             .parse()
             .map_err(|_| format!("level {i}: bad capacity {capacity:?}"))?;
         let assoc: usize = assoc
             .parse()
             .map_err(|_| format!("level {i}: bad associativity {assoc:?}"))?;
+        let policy = parse_policy(policy, assoc).map_err(|e| format!("level {i}: {e}"))?;
+        proto::check_lines(capacity, line).map_err(|e| format!("level {i}: {e}"))?;
         let config =
             CacheConfig::new(capacity, assoc, line).map_err(|e| format!("level {i}: {e}"))?;
-        policy
-            .validate_for_assoc(assoc)
-            .map_err(|e| format!("level {i}: {e}"))?;
         specs.push(LevelSpec::new(config, policy));
     }
     let containment = match flags.get("containment") {
@@ -363,8 +366,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         let outcome = query.run_oracle(&mut oracle, &geometry, 3);
         println!("{}: {}", query, outcome.pattern());
     } else {
-        let policy = parse_policy(flag(&flags, "policy")?)?;
         let assoc = parse_u64(&flags, "assoc", None)? as usize;
+        let policy = parse_policy(flag(&flags, "policy")?, assoc)?;
         let outcome = query.run_policy(&policy.build_state(assoc, 0));
         println!("{}: {}", query, outcome.pattern());
     }
@@ -373,8 +376,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
 fn cmd_distances(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
-    let kind = parse_policy(flag(&flags, "policy")?)?;
     let assoc = parse_u64(&flags, "assoc", None)? as usize;
+    let kind = parse_policy(flag(&flags, "policy")?, assoc)?;
     let spec = derive_permutation_spec(Box::new(kind.build_state(assoc, 0))).map_err(|e| {
         format!(
             "{} is not a (front-insertion) permutation policy: {e}",
@@ -399,9 +402,8 @@ fn cmd_distances(args: &[String]) -> Result<(), String> {
 fn cmd_attack(args: &[String]) -> Result<(), String> {
     use cachekit::attack::{eviction_set_for_kind, stealth_score, StealthScenario};
     let (_, flags) = parse(args)?;
-    let kind = parse_policy(flag(&flags, "policy")?)?;
     let assoc = parse_u64(&flags, "assoc", None)? as usize;
-    kind.validate_for_assoc(assoc)?;
+    let kind = parse_policy(flag(&flags, "policy")?, assoc)?;
     let rounds = parse_u64(&flags, "rounds", Some(32))? as usize;
     let seed = parse_u64(&flags, "seed", Some(7))?;
     let stride = parse_u64(&flags, "stride", Some(16 * 64))?;
@@ -564,6 +566,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     match positional.as_deref() {
         Some("gen") => {
             let capacity = parse_u64(&flags, "capacity", None)?;
+            let line = parse_u64(&flags, "line", Some(64))?;
+            proto::check_lines(capacity, line).map_err(|e| e.to_string())?;
             let out = flag(&flags, "out")?;
             let format = flags.get("format").map_or("binary", String::as_str);
             let ops = resolve_ops(&flags, capacity)?;
@@ -633,6 +637,7 @@ fn cmd_workloads(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
     let capacity = parse_u64(&flags, "capacity", None)?;
     let line = parse_u64(&flags, "line", Some(64))?;
+    proto::check_lines(capacity, line).map_err(|e| e.to_string())?;
     let seed = parse_u64(&flags, "seed", Some(7))?;
     match flags.get("out") {
         Some(dir) => {

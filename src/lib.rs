@@ -6,7 +6,7 @@
 //!
 //! This umbrella crate re-exports the public API of the member crates:
 //!
-//! * [`policies`] — replacement-policy implementations ([`policies::Lru`],
+//! * [`policies`] — replacement-policy implementations ([`policies::RecencyPolicy`],
 //!   [`policies::TreePlru`], …) behind the
 //!   [`policies::ReplacementPolicy`] trait;
 //! * [`sim`] — a trace-driven set-associative cache simulator;

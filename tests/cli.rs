@@ -278,3 +278,85 @@ fn unknown_policy_is_a_clean_error() {
     assert!(!ok);
     assert!(err.contains("unknown policy"));
 }
+
+/// Run a command that must be refused cleanly: a non-zero exit with an
+/// error on stderr and no panic. Returns stderr.
+fn refused(args: &[&str]) -> String {
+    let (ok, out, err) = run(args);
+    assert!(!ok, "{args:?} succeeded: {out}");
+    assert!(err.contains("error:"), "{args:?} stderr: {err}");
+    assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    err
+}
+
+#[test]
+fn policies_the_associativity_cannot_take_are_clean_errors() {
+    let cases: [&[&str]; 5] = [
+        &[
+            "simulate",
+            "--policy",
+            "SLRU-8",
+            "--capacity",
+            "32768",
+            "--assoc",
+            "8",
+            "--workload",
+            "zipf_hot",
+        ],
+        &["distances", "--policy", "SLRU-4", "--assoc", "4"],
+        &["query", "--policy", "SLRU-4", "--assoc", "4", "A B C A?"],
+        &["query", "--policy", "LRU", "--assoc", "0", "A B C A?"],
+        &["distances", "--policy", "LRU", "--assoc", "200"],
+    ];
+    for args in cases {
+        refused(args);
+    }
+}
+
+#[test]
+fn geometries_over_the_line_cap_are_refused() {
+    // `workloads` comes first: without the cap it only lists lengths,
+    // while the other commands would build a trace of 16 M lines.
+    let cap = cachekit::serve::MAX_SIMULATE_LINES.to_string();
+    let cases: [&[&str]; 4] = [
+        &["workloads", "--capacity", "16777216", "--line", "1"],
+        &[
+            "simulate",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "16777216",
+            "--assoc",
+            "16",
+            "--line",
+            "1",
+            "--workload",
+            "zipf_hot",
+        ],
+        &[
+            "hierarchy",
+            "--levels",
+            "LRU:32768:8,LRU:16777216:16",
+            "--line",
+            "1",
+            "--workload",
+            "zipf_hot",
+        ],
+        &[
+            "trace",
+            "gen",
+            "--workload",
+            "zipf_hot",
+            "--capacity",
+            "16777216",
+            "--line",
+            "1",
+            "--out",
+            "unused.ctb",
+        ],
+    ];
+    for args in cases {
+        let err = refused(args);
+        assert!(err.contains(&cap), "{args:?} does not name the cap: {err}");
+    }
+}

@@ -6,7 +6,7 @@
 //!
 //! | subject | kinds × ways | test |
 //! |---------|--------------|------|
-//! | boxed replica of the pre-refactor set | 13 differential kinds × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
+//! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind` | 13 differential kinds × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
 //! | `CacheSet` over `TablePolicy` | every pair whose eager table compiles; a must-compile list | `table_engine_is_bit_identical_where_it_compiles` |
 //! | `CacheSet` over `LazyTablePolicy` | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_for_every_deterministic_kind` |
 //! | the same, with invalidations interleaved | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_under_invalidation` |
@@ -14,24 +14,30 @@
 //! | eight threads of `CacheSet`s over `LazyTablePolicy`, one shared memo | LRU × 16 | `concurrent_lazy_memo_is_bit_identical_across_eight_threads` |
 //! | `KernelCache` on an interleaved multi-set stream | LRU/FIFO/PLRU/NRU × 4/8/16 | `batch_kernels_are_bit_identical_across_the_whole_grid` |
 //! | `CacheSet` over `TablePolicy` compiled by `PermTable::from_spec`, against the spec interpreter | catalog specs × 4/8 | `catalog_specs_round_trip_through_compiled_tables` |
+//! | the enum engine against a pinned digest | LRU, FIFO, LIP, LazyLRU, every SLRU-k × 1–64 | `stack_kinds_replay_the_pinned_event_stream` |
 //!
 //! The boxed engine is a faithful local replica of the pre-refactor
-//! cache set (array-of-`Option` tags driving concrete policies behind
-//! `Box<dyn ReplacementPolicy>`), so the suite pins enum dispatch to the
-//! concrete policies, not to itself. The enum engine itself passes the
-//! policy conformance battery and, for deterministic kinds, state-key
-//! soundness.
+//! cache set (array-of-`Option` tags driving policies behind
+//! `Box<dyn ReplacementPolicy>`), so the suite pins enum dispatch to
+//! independent implementations, not to itself. The five recency-stack
+//! kinds run there as the permutation-spec interpreter, which shares no
+//! step code with the enum engine's `RecencyPolicy`; the other kinds run
+//! their concrete policies. The enum engine itself passes the policy
+//! conformance battery and, for deterministic kinds, state-key
+//! soundness, and the recency-stack kinds, the catalog and the set
+//! layout are pinned to figures computed before those kinds were merged
+//! into one policy.
 
 use cachekit::core::perm::{
     catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTablePolicy, PermTable,
-    PermutationPolicy, TablePolicy,
+    PermutationPolicy, PermutationSpec, TablePolicy,
 };
 use cachekit::policies::conformance::{assert_conformance, assert_state_key_soundness};
 use cachekit::policies::kernel::KernelCache;
 use cachekit::policies::rng::{mix64, Prng};
 use cachekit::policies::{
-    Bip, BitPlru, Brrip, Clock, Fifo, LazyLru, Lip, Lru, Nru, PolicyKind, PolicyState, Qlru,
-    RandomPolicy, ReplacementPolicy, Slru, Srrip, TreePlru,
+    Bip, BitPlru, Brrip, Clock, Nru, PolicyKind, PolicyState, Qlru, RandomPolicy,
+    ReplacementPolicy, Srrip, TreePlru,
 };
 use cachekit::sim::{AccessOutcome, CacheSet};
 use std::sync::Arc;
@@ -74,25 +80,28 @@ impl BoxedSet {
     }
 }
 
-/// The concrete boxed policy the pre-refactor engine used, with the
-/// per-set seed derivation [`PolicyKind::build_state`] applies.
+/// The boxed policy the replica runs, with the per-set seed derivation
+/// [`PolicyKind::build_state`] applies: the spec interpreter for the
+/// recency-stack kinds, the concrete policy for every other kind.
 fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn ReplacementPolicy> {
     match kind {
-        PolicyKind::Lru => Box::new(Lru::new(assoc)),
-        PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
+        PolicyKind::Lru
+        | PolicyKind::Fifo
+        | PolicyKind::Lip
+        | PolicyKind::Slru { .. }
+        | PolicyKind::LazyLru => Box::new(PermutationPolicy::new(
+            PermutationSpec::for_kind(kind, assoc).expect("a recency-stack kind"),
+        )),
         PolicyKind::TreePlru => Box::new(TreePlru::new(assoc)),
         PolicyKind::BitPlru => Box::new(BitPlru::new(assoc)),
         PolicyKind::Nru => Box::new(Nru::new(assoc)),
         PolicyKind::Clock => Box::new(Clock::new(assoc)),
-        PolicyKind::Lip => Box::new(Lip::new(assoc)),
-        PolicyKind::Slru { protected } => Box::new(Slru::new(assoc, protected)),
         PolicyKind::Bip { throttle } => Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))),
         PolicyKind::Srrip { bits } => Box::new(Srrip::new(assoc, bits)),
         PolicyKind::Brrip { bits, throttle } => {
             Box::new(Brrip::new(assoc, bits, throttle, mix64(0xbbb1, salt)))
         }
         PolicyKind::Random { seed } => Box::new(RandomPolicy::new(assoc, mix64(seed, salt))),
-        PolicyKind::LazyLru => Box::new(LazyLru::new(assoc)),
         PolicyKind::Qlru { insert } => Box::new(Qlru::new(assoc, insert)),
     }
 }
@@ -484,4 +493,83 @@ fn catalog_specs_round_trip_through_compiled_tables() {
             }
         }
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The recency-stack kinds at `assoc` ways: LRU, FIFO, LIP, LazyLRU and
+/// SLRU with every protected size the associativity admits.
+fn stack_kinds(assoc: usize) -> Vec<PolicyKind> {
+    let mut kinds = vec![
+        PolicyKind::Lru,
+        PolicyKind::Fifo,
+        PolicyKind::Lip,
+        PolicyKind::LazyLru,
+    ];
+    kinds.extend((0..assoc).map(|protected| PolicyKind::Slru { protected }));
+    kinds
+}
+
+#[test]
+fn stack_kinds_replay_the_pinned_event_stream() {
+    // Inline stacks (up to 16 ways) and heap-backed ones (24 ways up),
+    // each driven through a seeded mix of every policy event. The digest
+    // folds each kind's name, every victim and the state key after every
+    // event, so any change to what these kinds do moves it.
+    let mut hash = FNV_OFFSET;
+    for assoc in [1usize, 2, 3, 4, 6, 8, 16, 24, 32, 64] {
+        for (i, kind) in stack_kinds(assoc).into_iter().enumerate() {
+            let mut policy = kind.build_state(assoc, 0);
+            hash = fnv(hash, policy.name().as_bytes());
+            let mut rng = Prng::seed_from_u64(mix64(assoc as u64, i as u64));
+            for _ in 0..400 {
+                let way = rng.gen_range(0..assoc);
+                match rng.gen_range(0..100u32) {
+                    0..=39 => policy.on_hit(way),
+                    40..=59 => policy.on_fill(way),
+                    60..=84 => {
+                        let victim = policy.victim();
+                        hash = fnv(hash, &(victim as u64).to_le_bytes());
+                        policy.on_fill(victim);
+                    }
+                    85..=97 => policy.on_invalidate(way),
+                    _ => policy.reset(),
+                }
+                hash = fnv(hash, &policy.state_key());
+            }
+        }
+    }
+    assert_eq!(
+        hash, 0x2527_65af_64b6_9d30,
+        "stack-kind digest {hash:#018x}"
+    );
+}
+
+#[test]
+fn catalog_is_pinned_at_every_associativity_up_to_sixteen() {
+    let mut hash = FNV_OFFSET;
+    for assoc in 1..=16 {
+        for entry in catalog_for(assoc) {
+            hash = fnv(hash, entry.name.as_bytes());
+            hash = fnv(hash, entry.spec.render().as_bytes());
+        }
+    }
+    assert_eq!(hash, 0x3f8d_e003_40d7_d350, "catalog digest {hash:#018x}");
+}
+
+#[test]
+fn set_layout_stays_within_its_stated_size() {
+    // docs/engine.md states both sizes: a set's policy state is stored
+    // inline, and a set is one small contiguous block.
+    let state = std::mem::size_of::<PolicyState>();
+    let set = std::mem::size_of::<CacheSet>();
+    assert!(state <= 48, "PolicyState grew to {state} bytes");
+    assert!(set <= 160, "CacheSet grew to {set} bytes");
 }

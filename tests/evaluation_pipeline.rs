@@ -97,7 +97,7 @@ fn discovered_lazylru_behaves_like_lru_within_a_few_percent() {
     // The "undocumented" policy is evaluated exactly like the paper
     // evaluates its discoveries: drop the inferred spec into the
     // simulator and compare.
-    let spec = PermutationSpec::lru(8);
+    let spec = PermutationSpec::for_kind(PolicyKind::Lru, 8).unwrap();
     let _ = spec; // (reference point only)
     for w in workloads::suite(CAPACITY, LINE, 7) {
         let cfg = CacheConfig::new(CAPACITY, 8, LINE).unwrap();
@@ -116,7 +116,7 @@ fn inferred_spec_reproduces_the_hidden_policy_in_simulation() {
     // Close the loop: run a cache whose sets execute the *inferred*
     // LazyLRU spec and compare miss counts against the concrete policy.
     let spec = cachekit::core::perm::derive_permutation_spec(Box::new(
-        cachekit::policies::LazyLru::new(8),
+        PolicyKind::LazyLru.build_state(8, 0),
     ))
     .unwrap();
     let cfg = CacheConfig::new(CAPACITY, 8, LINE).unwrap();

@@ -156,7 +156,10 @@ fn derived_spec_predicts_future_behaviour() {
         let g = infer_geometry(&mut oracle, &config).unwrap();
         strict_policy(&mut oracle, &g, &config).unwrap()
     };
-    assert_eq!(report.spec, PermutationSpec::lru(6));
+    assert_eq!(
+        report.spec,
+        PermutationSpec::for_kind(PolicyKind::Lru, 6).unwrap()
+    );
 
     // Fresh experiment: base fill then a random tail, predicted by hand.
     let way = report.geometry.way_size();
