@@ -44,10 +44,12 @@ run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 # Engine differential at release optimisation: every engine (the
 # eager and lazy table adapters, the batch kernels, and a boxed replica
 # set that runs the permutation-spec interpreter for the recency-stack
-# kinds and the concrete policies for the rest) bit-identical to the
-# enum engine over all 13 differential kinds, the catalog-spec -> table
-# round trip, and the pinned digests of the recency-stack kinds and the
-# catalog.
+# kinds, a test-local reference for the age-counter kinds and the
+# concrete policies for the rest) bit-identical to the enum engine over
+# all 13 differential kinds, the catalog-spec -> table round trip, and
+# the pinned digests of the recency-stack kinds, of the age-counter and
+# bit-vector kinds (NRU, SRRIP-1..7, QLRU-0..3, BitPLRU, CLOCK, BRRIP at
+# 1-128 ways) and of the catalog.
 run cargo test -q --release --test engine_differential
 
 # Inference-engine differential at release optimisation: permutation
@@ -143,7 +145,10 @@ fi
 # covers every statistic the sweep simulates, so any change to
 # simulated behaviour (an engine, the address mapping, the hierarchy)
 # fails here; update the pin only for an intended behaviour change.
-# hits_pipelined must also serve at least 10,000 pipelined cache hits
+# infer_cold's oracle access count covers every query the inference
+# pipeline sends to the virtual CPUs, whose hidden policies include
+# NRU and SRRIP-2, so a change to a hidden policy or to the query
+# stream fails here too. hits_pipelined must also serve at least 10,000 pipelined cache hits
 # per second. A 1-second run reads 100k-170k req/s on a 2-vCPU VM, so
 # noise stays clear of the floor and a hit path slowed more than about
 # tenfold trips it.
@@ -160,6 +165,11 @@ for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
     if [[ "$workload" == eval_sweep ]] && ! grep -q '^round 0 digest aa0f605088a8d4a5 ' <<<"$out"; then
         echo "ci: perfbench eval_sweep round 0 digest moved:" >&2
         grep '^round 0 digest' <<<"$out" >&2
+        exit 1
+    fi
+    if [[ "$workload" == infer_cold ]] && ! grep -q ' oracle accesses=21107863 ' <<<"$out"; then
+        echo "ci: perfbench infer_cold oracle traffic moved:" >&2
+        grep -o 'oracle accesses=[0-9]*' <<<"$out" >&2
         exit 1
     fi
     if [[ "$workload" == hits_pipelined ]]; then

@@ -229,13 +229,6 @@ pub struct AutomataEngine {
     pub automata: AutomataConfig,
 }
 
-impl AutomataEngine {
-    /// An engine with specific learner tuning.
-    pub fn with_config(automata: AutomataConfig) -> Self {
-        Self { automata }
-    }
-}
-
 impl InferenceEngine for AutomataEngine {
     fn name(&self) -> &'static str {
         "automata"

@@ -273,7 +273,7 @@ fn validate_spec(
 mod tests {
     use super::*;
     use crate::perm::PermutationPolicy;
-    use cachekit_policies::{BitPlru, Nru, PolicyKind, RandomPolicy, Srrip, TreePlru};
+    use cachekit_policies::{PolicyKind, RandomPolicy, TreePlru};
 
     #[test]
     fn front_insertion_stack_kinds_derive_to_their_specs() {
@@ -372,19 +372,20 @@ mod tests {
         // Bit-PLRU's behaviour depends on way indices, so no permutation
         // spec can reproduce it; the derivation must fail at read-out or
         // validation.
-        let res = derive_permutation_spec(Box::new(BitPlru::new(4)));
+        let res = derive_permutation_spec(Box::new(PolicyKind::BitPlru.build_state(4, 0)));
         assert!(res.is_err(), "bit-PLRU must not derive: {res:?}");
     }
 
     #[test]
     fn nru_is_rejected() {
-        let res = derive_permutation_spec(Box::new(Nru::new(4)));
+        let res = derive_permutation_spec(Box::new(PolicyKind::Nru.build_state(4, 0)));
         assert!(res.is_err(), "NRU must not derive: {res:?}");
     }
 
     #[test]
     fn srrip_is_rejected() {
-        let res = derive_permutation_spec(Box::new(Srrip::new(4, 2)));
+        let res =
+            derive_permutation_spec(Box::new(PolicyKind::Srrip { bits: 2 }.build_state(4, 0)));
         assert!(res.is_err(), "SRRIP must not derive: {res:?}");
     }
 

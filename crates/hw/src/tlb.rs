@@ -19,7 +19,6 @@ pub struct Tlb {
     /// Resident page numbers, most recently used at the front.
     resident: VecDeque<u64>,
     misses: u64,
-    lookups: u64,
 }
 
 impl Tlb {
@@ -40,7 +39,6 @@ impl Tlb {
             page_shift: page_size.trailing_zeros(),
             resident: VecDeque::new(),
             misses: 0,
-            lookups: 0,
         }
     }
 
@@ -51,7 +49,6 @@ impl Tlb {
 
     /// Translate the page of `addr`; returns `true` on a TLB hit.
     pub fn lookup(&mut self, addr: u64) -> bool {
-        self.lookups += 1;
         let vpn = addr >> self.page_shift;
         if let Some(pos) = self.resident.iter().position(|&p| p == vpn) {
             let p = self.resident.remove(pos).expect("position valid");
@@ -77,11 +74,6 @@ impl Tlb {
     /// Misses so far.
     pub fn miss_count(&self) -> u64 {
         self.misses
-    }
-
-    /// Lookups so far.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups
     }
 
     /// Drop all translations (as a context switch would).

@@ -328,12 +328,6 @@ impl VirtualCpuBuilder {
         self
     }
 
-    /// Use a fully constructed cache as the (optional) L3.
-    pub fn l3_cache(mut self, cache: Cache) -> Self {
-        self.l3 = Some(LevelSource::Prebuilt(cache));
-        self
-    }
-
     /// Configure the TLB.
     pub fn tlb(mut self, entries: usize, page_size: u64) -> Self {
         self.tlb_entries = entries;

@@ -31,7 +31,10 @@ use crate::{check_assoc, check_way, ReplacementPolicy};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitPlru {
-    bits: Vec<bool>,
+    /// The MRU bits, bit `w` for way `w`; the bits at and above the
+    /// associativity stay clear.
+    bits: u128,
+    assoc: u8,
 }
 
 impl BitPlru {
@@ -41,31 +44,26 @@ impl BitPlru {
     ///
     /// Panics if `assoc` is 0 or greater than 128.
     pub fn new(assoc: usize) -> Self {
-        check_assoc(assoc);
         Self {
-            bits: vec![false; assoc],
+            bits: 0,
+            assoc: check_assoc(assoc) as u8,
         }
     }
 
+    #[inline]
     fn touch(&mut self, way: usize) {
-        check_way(way, self.bits.len());
-        self.bits[way] = true;
-        if self.bits.iter().all(|&b| b) {
-            for (i, b) in self.bits.iter_mut().enumerate() {
-                *b = i == way;
-            }
+        let assoc = self.assoc as usize;
+        check_way(way, assoc);
+        self.bits |= 1 << way;
+        if self.bits == u128::MAX >> (128 - assoc) {
+            self.bits = 1 << way;
         }
-    }
-
-    /// The MRU bits (for inspection and tests).
-    pub fn mru_bits(&self) -> &[bool] {
-        &self.bits
     }
 }
 
 impl ReplacementPolicy for BitPlru {
     fn associativity(&self) -> usize {
-        self.bits.len()
+        self.assoc as usize
     }
 
     fn name(&self) -> String {
@@ -81,7 +79,12 @@ impl ReplacementPolicy for BitPlru {
     fn victim(&mut self) -> usize {
         // The flash clear keeps at least one bit unset whenever assoc > 1;
         // for the degenerate 1-way set the single way is always the victim.
-        self.bits.iter().position(|&b| !b).unwrap_or(0)
+        let way = (!self.bits).trailing_zeros() as usize;
+        if way < self.assoc as usize {
+            way
+        } else {
+            0
+        }
     }
 
     #[inline]
@@ -91,20 +94,22 @@ impl ReplacementPolicy for BitPlru {
 
     #[inline]
     fn on_invalidate(&mut self, way: usize) {
-        check_way(way, self.bits.len());
-        self.bits[way] = false;
+        check_way(way, self.assoc as usize);
+        self.bits &= !(1 << way);
     }
 
     fn reset(&mut self) {
-        self.bits.iter_mut().for_each(|b| *b = false);
+        self.bits = 0;
     }
 
     fn state_key(&self) -> Vec<u8> {
-        self.bits.iter().map(|&b| b as u8).collect()
+        let mut key = Vec::with_capacity(self.assoc as usize);
+        self.write_state_key(&mut key);
+        key
     }
 
     fn write_state_key(&self, out: &mut Vec<u8>) {
-        out.extend(self.bits.iter().map(|&b| b as u8));
+        out.extend((0..self.assoc).map(|w| (self.bits >> w) as u8 & 1));
     }
 
     fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
@@ -133,7 +138,7 @@ mod tests {
             p.on_fill(w);
         }
         // Touching way 3 set all bits; flash clear keeps only way 3.
-        assert_eq!(p.mru_bits(), &[false, false, false, true]);
+        assert_eq!(p.state_key(), [0, 0, 0, 1]);
         assert_eq!(p.victim(), 0);
     }
 
@@ -163,6 +168,20 @@ mod tests {
         p.on_fill(0);
         p.on_fill(1);
         p.on_invalidate(0);
+        assert_eq!(p.victim(), 0);
+    }
+
+    #[test]
+    fn the_full_mask_of_128_ways_flash_clears() {
+        let mut p = BitPlru::new(128);
+        for w in 0..127 {
+            p.on_fill(w);
+        }
+        assert_eq!(p.victim(), 127);
+        p.on_fill(127);
+        let mut want = vec![0; 128];
+        want[127] = 1;
+        assert_eq!(p.state_key(), want);
         assert_eq!(p.victim(), 0);
     }
 

@@ -27,8 +27,10 @@ use crate::{check_assoc, check_way, ReplacementPolicy};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Clock {
-    referenced: Vec<bool>,
-    hand: usize,
+    /// The reference bits, bit `w` for way `w`.
+    referenced: u128,
+    hand: u8,
+    assoc: u8,
 }
 
 impl Clock {
@@ -38,21 +40,11 @@ impl Clock {
     ///
     /// Panics if `assoc` is 0 or greater than 128.
     pub fn new(assoc: usize) -> Self {
-        check_assoc(assoc);
         Self {
-            referenced: vec![false; assoc],
+            referenced: 0,
             hand: 0,
+            assoc: check_assoc(assoc) as u8,
         }
-    }
-
-    /// Current hand position (for inspection and tests).
-    pub fn hand(&self) -> usize {
-        self.hand
-    }
-
-    /// Reference bits (for inspection and tests).
-    pub fn reference_bits(&self) -> &[bool] {
-        &self.referenced
     }
 
     /// Move the hand to the next way, wrapping after the last one (a
@@ -61,7 +53,7 @@ impl Clock {
     #[inline]
     fn advance_hand(&mut self) {
         self.hand += 1;
-        if self.hand == self.referenced.len() {
+        if self.hand == self.assoc {
             self.hand = 0;
         }
     }
@@ -69,7 +61,7 @@ impl Clock {
 
 impl ReplacementPolicy for Clock {
     fn associativity(&self) -> usize {
-        self.referenced.len()
+        self.assoc as usize
     }
 
     fn name(&self) -> String {
@@ -78,27 +70,26 @@ impl ReplacementPolicy for Clock {
 
     #[inline]
     fn on_hit(&mut self, way: usize) {
-        check_way(way, self.referenced.len());
-        self.referenced[way] = true;
+        check_way(way, self.assoc as usize);
+        self.referenced |= 1 << way;
     }
 
     #[inline]
     fn victim(&mut self) -> usize {
         loop {
-            if self.referenced[self.hand] {
-                self.referenced[self.hand] = false;
-                self.advance_hand();
-            } else {
-                return self.hand;
+            let at_hand = 1u128 << self.hand;
+            if self.referenced & at_hand == 0 {
+                return self.hand as usize;
             }
+            self.referenced &= !at_hand;
+            self.advance_hand();
         }
     }
 
     #[inline]
     fn on_fill(&mut self, way: usize) {
-        check_way(way, self.referenced.len());
-        self.referenced[way] = true;
-        if way == self.hand {
+        self.on_hit(way);
+        if way == self.hand as usize {
             // The hand moves past a way it just replaced.
             self.advance_hand();
         }
@@ -106,24 +97,25 @@ impl ReplacementPolicy for Clock {
 
     #[inline]
     fn on_invalidate(&mut self, way: usize) {
-        check_way(way, self.referenced.len());
-        self.referenced[way] = false;
+        check_way(way, self.assoc as usize);
+        self.referenced &= !(1 << way);
     }
 
     fn reset(&mut self) {
-        self.referenced.iter_mut().for_each(|b| *b = false);
+        self.referenced = 0;
         self.hand = 0;
     }
 
     fn state_key(&self) -> Vec<u8> {
-        let mut key: Vec<u8> = self.referenced.iter().map(|&b| b as u8).collect();
-        key.push(self.hand as u8);
+        let mut key = Vec::with_capacity(self.assoc as usize + 1);
+        self.write_state_key(&mut key);
         key
     }
 
+    /// One byte per way's reference bit, then the hand.
     fn write_state_key(&self, out: &mut Vec<u8>) {
-        out.extend(self.referenced.iter().map(|&b| b as u8));
-        out.push(self.hand as u8);
+        out.extend((0..self.assoc).map(|w| (self.referenced >> w) as u8 & 1));
+        out.push(self.hand);
     }
 
     fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
@@ -143,8 +135,8 @@ mod tests {
         }
         // All bits set; the sweep clears 0,1,2 and lands back on 0.
         assert_eq!(p.victim(), 0);
-        // The sweep left the bits cleared.
-        assert_eq!(p.reference_bits(), &[false, false, false]);
+        // The sweep left the bits cleared, with the hand on way 0.
+        assert_eq!(p.state_key(), [0, 0, 0, 0]);
     }
 
     #[test]
@@ -178,7 +170,7 @@ mod tests {
         let mut p = Clock::new(4);
         p.on_fill(2);
         p.reset();
-        assert_eq!(p.hand(), 0);
+        assert_eq!(p.state_key(), [0, 0, 0, 0, 0]);
         assert_eq!(p.victim(), 0);
     }
 

@@ -14,7 +14,7 @@
 
 use crate::recency::RecencyStack;
 use crate::rng::Prng;
-use crate::{check_assoc, ReplacementPolicy, Srrip};
+use crate::{check_assoc, AgePolicy, PolicyKind, ReplacementPolicy};
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
@@ -245,7 +245,8 @@ impl DrripFamily {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are invalid (see [`Srrip::new`]).
+    /// Panics if `assoc` is 0 or greater than 128, if `bits` is outside
+    /// `1..=7` or if `throttle` is 0.
     pub fn new(assoc: usize, bits: u8, throttle: u32, seed: u64) -> Self {
         check_assoc(assoc);
         assert!((1..=7).contains(&bits), "RRPV width must be 1..=7 bits");
@@ -268,7 +269,7 @@ impl DrripFamily {
     /// Build the policy instance for set `set`.
     pub fn policy_for_set(&self, set: u64) -> Box<dyn ReplacementPolicy> {
         Box::new(Drrip {
-            inner: Srrip::new(self.assoc, self.bits),
+            inner: AgePolicy::new(PolicyKind::Srrip { bits: self.bits }, self.assoc),
             role: role_of(set, self.period),
             duel: Arc::clone(&self.duel),
             throttle: self.throttle,
@@ -281,7 +282,7 @@ impl DrripFamily {
 /// One set's DRRIP policy (produced by [`DrripFamily`]).
 #[derive(Debug, Clone)]
 pub struct Drrip {
-    inner: Srrip,
+    inner: AgePolicy,
     role: Role,
     duel: Arc<DuelState>,
     throttle: u32,
@@ -322,8 +323,7 @@ impl ReplacementPolicy for Drrip {
         };
         if use_brrip && !self.rng.gen_ratio(1, self.throttle) {
             // Distant insertion (BRRIP's common case).
-            let max = self.inner.rrpv_max();
-            self.inner.rrpv_mut()[way] = max;
+            self.inner.fill_distant(way);
         } else {
             self.inner.on_fill(way);
         }

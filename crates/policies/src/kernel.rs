@@ -643,16 +643,29 @@ impl<const A: usize> LaneKernel for NruKern<A> {
         (!*w).trailing_zeros()
     }
 
+    // Packs an age-counter state that runs NRU's rule at `A` ways: the
+    // mask of ways at age 0 (referenced since the last clear).
     fn pack(&self, state: &PolicyState) -> Option<u32> {
         match state {
-            PolicyState::Nru(n) if n.associativity() == A => Some(n.ref_mask() as u32),
+            PolicyState::Age(p)
+                if p.associativity() == A && PolicyKind::Nru.age_rule() == Some(p.rule()) =>
+            {
+                Some(
+                    p.ages()
+                        .iter()
+                        .enumerate()
+                        .fold(0, |mask, (way, &age)| mask | (u32::from(age == 0) << way)),
+                )
+            }
             _ => None,
         }
     }
 
     fn unpack(&self, w: u32, state: &mut PolicyState) {
-        if let PolicyState::Nru(n) = state {
-            n.set_ref_mask(w as u128);
+        if let PolicyState::Age(p) = state {
+            for (way, age) in p.ages_mut().iter_mut().enumerate() {
+                *age = u8::from((w >> way) & 1 == 0);
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Policy construction by name.
 
+use crate::age::{AgePolicy, AgeRule};
 use crate::recency::{RecencyPolicy, RecencyRule};
 use crate::rng::mix64;
-use crate::{Bip, BitPlru, Brrip, Clock, Nru, PolicyState, Qlru, RandomPolicy, Srrip, TreePlru};
+use crate::{Bip, BitPlru, Brrip, Clock, PolicyState, RandomPolicy, TreePlru};
 
 /// A constructible replacement-policy identity.
 ///
@@ -76,7 +77,8 @@ pub enum PolicyKind {
 impl PolicyKind {
     /// Build the inline enum-dispatched policy state for a set with
     /// `assoc` ways — the execution-engine form the simulator stores per
-    /// set (no heap allocation, no virtual dispatch).
+    /// set: no virtual dispatch, and no heap allocation for a
+    /// deterministic kind up to 16 ways.
     ///
     /// `salt` differentiates per-set RNG streams for stochastic policies
     /// (pass the set index); deterministic policies ignore it.
@@ -92,15 +94,15 @@ impl PolicyKind {
             | PolicyKind::Lip
             | PolicyKind::Slru { .. }
             | PolicyKind::LazyLru => PolicyState::Recency(RecencyPolicy::new(self, assoc)),
+            PolicyKind::Nru | PolicyKind::Srrip { .. } | PolicyKind::Qlru { .. } => {
+                PolicyState::Age(AgePolicy::new(self, assoc))
+            }
             PolicyKind::TreePlru => PolicyState::TreePlru(TreePlru::new(assoc)),
             PolicyKind::BitPlru => PolicyState::BitPlru(BitPlru::new(assoc)),
-            PolicyKind::Nru => PolicyState::Nru(Nru::new(assoc)),
             PolicyKind::Clock => PolicyState::Clock(Clock::new(assoc)),
             PolicyKind::Bip { throttle } => {
                 PolicyState::Bip(Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))))
             }
-            PolicyKind::Srrip { bits } => PolicyState::Srrip(Srrip::new(assoc, bits)),
-            PolicyKind::Qlru { insert } => PolicyState::Qlru(Qlru::new(assoc, insert)),
             PolicyKind::Brrip { bits, throttle } => PolicyState::Brrip(Box::new(Brrip::new(
                 assoc,
                 bits,
@@ -142,6 +144,44 @@ impl PolicyKind {
             promote_from,
             insert_at,
         })
+    }
+
+    /// The age-counter rule of the kind, or `None` for a kind that is not
+    /// an age-counter policy. This is the one definition of these three
+    /// kinds; the policy the simulator runs and the NRU batch kernel's
+    /// packer both read it.
+    ///
+    /// | kind | saturation age `max` | insertion age |
+    /// |---|---|---|
+    /// | NRU | 1 | 0 |
+    /// | SRRIP-k | 2^k − 1 | 2^k − 2 |
+    /// | QLRU-i | 3 | i |
+    ///
+    /// A hit sets a way's age to 0, a fill to the insertion age and an
+    /// invalidation to `max`; the victim is the lowest way at `max`,
+    /// after every age has been raised until one reaches it. SRRIP with
+    /// a 1-bit counter is NRU (Jaleel et al., ISCA 2010), and QLRU-2 is
+    /// SRRIP-2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if SRRIP's width is outside `1..=7` or QLRU's insertion
+    /// age is above 3.
+    pub(crate) fn age_rule(self) -> Option<AgeRule> {
+        let (max, insert) = match self {
+            PolicyKind::Nru => (1, 0),
+            PolicyKind::Srrip { bits } => {
+                assert!((1..=7).contains(&bits), "RRPV width must be 1..=7 bits");
+                let max = (1u8 << bits) - 1;
+                (max, max - 1)
+            }
+            PolicyKind::Qlru { insert } => {
+                assert!(insert <= 3, "QLRU insertion age must be 0..=3");
+                (3, insert)
+            }
+            _ => return None,
+        };
+        Some(AgeRule { max, insert })
     }
 
     /// Check the kind's parameters against an associativity without
@@ -415,6 +455,19 @@ mod tests {
         for k in PolicyKind::deterministic_kinds() {
             assert!(eval.contains(&k));
         }
+    }
+
+    #[test]
+    fn one_bit_srrip_is_nru_and_qlru_two_is_srrip_two() {
+        assert_eq!(
+            PolicyKind::Srrip { bits: 1 }.age_rule(),
+            PolicyKind::Nru.age_rule()
+        );
+        assert_eq!(
+            PolicyKind::Qlru { insert: 2 }.age_rule(),
+            PolicyKind::Srrip { bits: 2 }.age_rule()
+        );
+        assert_eq!(PolicyKind::Lru.age_rule(), None);
     }
 
     #[test]

@@ -35,29 +35,27 @@
 
 use std::fmt;
 
+mod age;
 mod bip;
 mod bit_plru;
 mod clock;
 mod dip;
 mod kind;
-mod nru;
-mod qlru;
 mod random;
 mod recency;
 mod srrip;
 mod state;
 mod tree_plru;
 
+pub use age::AgePolicy;
 pub use bip::Bip;
 pub use bit_plru::BitPlru;
 pub use clock::Clock;
 pub use dip::{Dip, DipFamily, Drrip, DrripFamily, DuelState};
 pub use kind::PolicyKind;
-pub use nru::Nru;
-pub use qlru::Qlru;
 pub use random::RandomPolicy;
 pub use recency::{RecencyPolicy, RecencyRule};
-pub use srrip::{Brrip, Srrip};
+pub use srrip::Brrip;
 pub use state::PolicyState;
 pub use tree_plru::TreePlru;
 

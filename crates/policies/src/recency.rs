@@ -9,21 +9,58 @@
 
 use crate::{check_assoc, check_way, PolicyKind, ReplacementPolicy};
 
-/// Largest associativity whose recency stack is stored inline.
+/// Largest associativity whose per-way bytes are stored inline.
 const INLINE_WAYS: usize = 16;
 
-/// Storage for a recency stack: catalog associativities (≤ 16 ways) live
-/// inline so a set's policy state involves no heap pointer — `PolicyState`
-/// carries the stack by value, and a policy update touches no cache line
-/// beyond the set itself. Wider configurations fall back to a `Vec`.
+/// One byte per way — a recency stack's way indices, or the ages of an
+/// [`AgePolicy`](crate::AgePolicy). Catalog associativities (≤ 16 ways)
+/// live inline so a set's policy state involves no heap pointer —
+/// `PolicyState` carries the bytes by value, and a policy update touches
+/// no cache line beyond the set itself. Wider configurations fall back
+/// to a `Vec`.
 ///
 /// The representation is a function of the associativity alone, and the
 /// unused tail of the inline buffer stays zeroed, so the derived
-/// equality/hash over the raw storage agree with equality of the stacks.
+/// equality/hash over the raw storage agree with equality of the bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Repr {
+pub(crate) enum WayBytes {
     Inline { len: u8, buf: [u8; INLINE_WAYS] },
     Heap(Vec<u8>),
+}
+
+impl WayBytes {
+    /// `assoc` bytes, way `w` holding `byte(w)`.
+    pub(crate) fn from_fn(assoc: usize, byte: impl Fn(usize) -> u8) -> Self {
+        check_assoc(assoc);
+        if assoc <= INLINE_WAYS {
+            let mut buf = [0u8; INLINE_WAYS];
+            for (way, slot) in buf.iter_mut().enumerate().take(assoc) {
+                *slot = byte(way);
+            }
+            WayBytes::Inline {
+                len: assoc as u8,
+                buf,
+            }
+        } else {
+            WayBytes::Heap((0..assoc).map(byte).collect())
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            WayBytes::Inline { len, buf } => &buf[..*len as usize],
+            WayBytes::Heap(v) => v,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
+        match self {
+            WayBytes::Inline { len, buf } => &mut buf[..*len as usize],
+            WayBytes::Heap(v) => v,
+        }
+    }
 }
 
 /// A recency stack over way indices, shared by the LRU-family policies.
@@ -32,25 +69,14 @@ enum Repr {
 /// recently used (the eviction candidate).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RecencyStack {
-    repr: Repr,
+    ways: WayBytes,
 }
 
 impl RecencyStack {
     pub(crate) fn new(assoc: usize) -> Self {
-        check_assoc(assoc);
-        let repr = if assoc <= INLINE_WAYS {
-            let mut buf = [0u8; INLINE_WAYS];
-            for (way, slot) in buf.iter_mut().enumerate().take(assoc) {
-                *slot = way as u8;
-            }
-            Repr::Inline {
-                len: assoc as u8,
-                buf,
-            }
-        } else {
-            Repr::Heap((0..assoc as u8).collect())
-        };
-        Self { repr }
+        Self {
+            ways: WayBytes::from_fn(assoc, |way| way as u8),
+        }
     }
 
     pub(crate) fn assoc(&self) -> usize {
@@ -59,10 +85,7 @@ impl RecencyStack {
 
     #[inline]
     pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => &mut buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        self.ways.as_mut_slice()
     }
 
     /// Position of `way` in the stack (0 = MRU).
@@ -141,10 +164,7 @@ impl RecencyStack {
     /// The stack from MRU to LRU, as way indices.
     #[inline]
     pub(crate) fn as_slice(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Inline { len, buf } => &buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        self.ways.as_slice()
     }
 }
 

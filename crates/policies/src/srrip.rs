@@ -1,139 +1,18 @@
-//! Re-reference interval prediction policies (Jaleel et al., ISCA 2010).
+//! Bimodal re-reference interval prediction (Jaleel et al., ISCA 2010).
+//! Static RRIP is an age-counter kind ([`AgePolicy`]).
 
 use crate::rng::Prng;
-use crate::{check_assoc, check_way, ReplacementPolicy};
-
-/// Static re-reference interval prediction (SRRIP-HP).
-///
-/// Each way carries an `M`-bit *re-reference prediction value* (RRPV).
-/// Fills predict a "long" re-reference interval (`max - 1`), hits promote
-/// to "near-immediate" (`0`), and the victim is the first way with RRPV
-/// `max`; if none exists, all RRPVs are incremented until one saturates.
-///
-/// SRRIP post-dates the processors the paper targets, but it is the
-/// natural "modern baseline" for the evaluation figures: it shows how far
-/// the discovered 2008-era policies are from a scan-resistant design.
-///
-/// # Example
-///
-/// ```
-/// use cachekit_policies::{Srrip, ReplacementPolicy};
-///
-/// let mut p = Srrip::new(4, 2);
-/// for w in 0..4 {
-///     p.on_fill(w);
-/// }
-/// p.on_hit(2); // way 2 predicted near-immediate
-/// let v = p.victim();
-/// assert_ne!(v, 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Srrip {
-    rrpv: Vec<u8>,
-    max: u8,
-    bits: u8,
-}
-
-impl Srrip {
-    /// Create an SRRIP policy with `bits`-wide RRPV counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc` is 0 or greater than 128, or if `bits` is not in
-    /// `1..=7`.
-    pub fn new(assoc: usize, bits: u8) -> Self {
-        check_assoc(assoc);
-        assert!((1..=7).contains(&bits), "RRPV width must be 1..=7 bits");
-        let max = (1u8 << bits) - 1;
-        Self {
-            rrpv: vec![max; assoc],
-            max,
-            bits,
-        }
-    }
-
-    /// The per-way RRPV values (for inspection and tests).
-    pub fn rrpv(&self) -> &[u8] {
-        &self.rrpv
-    }
-
-    /// Mutable RRPV access for sibling policies built on SRRIP (DRRIP).
-    pub(crate) fn rrpv_mut(&mut self) -> &mut [u8] {
-        &mut self.rrpv
-    }
-
-    /// The saturation value of the RRPV counters.
-    pub(crate) fn rrpv_max(&self) -> u8 {
-        self.max
-    }
-
-    fn select_victim(rrpv: &mut [u8], max: u8) -> usize {
-        loop {
-            if let Some(pos) = rrpv.iter().position(|&v| v == max) {
-                return pos;
-            }
-            rrpv.iter_mut().for_each(|v| *v += 1);
-        }
-    }
-}
-
-impl ReplacementPolicy for Srrip {
-    fn associativity(&self) -> usize {
-        self.rrpv.len()
-    }
-
-    fn name(&self) -> String {
-        format!("SRRIP-{}", self.bits)
-    }
-
-    #[inline]
-    fn on_hit(&mut self, way: usize) {
-        check_way(way, self.rrpv.len());
-        self.rrpv[way] = 0;
-    }
-
-    #[inline]
-    fn victim(&mut self) -> usize {
-        Self::select_victim(&mut self.rrpv, self.max)
-    }
-
-    #[inline]
-    fn on_fill(&mut self, way: usize) {
-        check_way(way, self.rrpv.len());
-        self.rrpv[way] = self.max - 1;
-    }
-
-    #[inline]
-    fn on_invalidate(&mut self, way: usize) {
-        check_way(way, self.rrpv.len());
-        self.rrpv[way] = self.max;
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.iter_mut().for_each(|v| *v = self.max);
-    }
-
-    fn state_key(&self) -> Vec<u8> {
-        self.rrpv.clone()
-    }
-
-    fn write_state_key(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rrpv);
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
+use crate::{AgePolicy, PolicyKind, ReplacementPolicy};
 
 /// Bimodal re-reference interval prediction (BRRIP).
 ///
-/// Like [`Srrip`] but fills usually predict a *distant* re-reference
-/// (RRPV `max`) and only occasionally (`1/throttle`) a long one, mirroring
-/// the LIP→BIP relationship. Stochastic, hence not a permutation policy.
+/// Like SRRIP but fills usually predict a *distant* re-reference (the
+/// saturation age) and only occasionally (`1/throttle`) a long one,
+/// mirroring the LIP→BIP relationship. Stochastic, hence not a
+/// permutation policy.
 #[derive(Debug, Clone)]
 pub struct Brrip {
-    inner: Srrip,
+    inner: AgePolicy,
     throttle: u32,
     rng: Prng,
     seed: u64,
@@ -145,12 +24,12 @@ impl Brrip {
     ///
     /// # Panics
     ///
-    /// Panics if `assoc`/`bits` are invalid (see [`Srrip::new`]) or if
-    /// `throttle` is 0.
+    /// Panics if `assoc` is 0 or greater than 128, if `bits` is outside
+    /// `1..=7` or if `throttle` is 0.
     pub fn new(assoc: usize, bits: u8, throttle: u32, seed: u64) -> Self {
         assert!(throttle >= 1, "throttle must be at least 1");
         Self {
-            inner: Srrip::new(assoc, bits),
+            inner: AgePolicy::new(PolicyKind::Srrip { bits }, assoc),
             throttle,
             rng: Prng::seed_from_u64(seed),
             seed,
@@ -164,7 +43,14 @@ impl ReplacementPolicy for Brrip {
     }
 
     fn name(&self) -> String {
-        format!("BRRIP-{}-1/{}", self.inner.bits, self.throttle)
+        match self.inner.kind() {
+            PolicyKind::Srrip { bits } => PolicyKind::Brrip {
+                bits,
+                throttle: self.throttle,
+            }
+            .label(),
+            _ => unreachable!("BRRIP runs SRRIP's ages"),
+        }
     }
 
     #[inline]
@@ -179,11 +65,10 @@ impl ReplacementPolicy for Brrip {
 
     #[inline]
     fn on_fill(&mut self, way: usize) {
-        check_way(way, self.inner.rrpv.len());
         if self.rng.gen_ratio(1, self.throttle) {
-            self.inner.rrpv[way] = self.inner.max - 1;
+            self.inner.on_fill(way);
         } else {
-            self.inner.rrpv[way] = self.inner.max;
+            self.inner.fill_distant(way);
         }
     }
 
@@ -219,64 +104,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fills_predict_long_hits_predict_near() {
-        let mut p = Srrip::new(4, 2);
-        p.on_fill(0);
-        assert_eq!(p.rrpv()[0], 2);
-        p.on_hit(0);
-        assert_eq!(p.rrpv()[0], 0);
-    }
-
-    #[test]
-    fn victim_is_first_distant_way() {
-        let mut p = Srrip::new(4, 2);
-        for w in 0..4 {
-            p.on_fill(w);
-        }
-        p.on_hit(0);
-        // RRPVs [0,2,2,2]; no way at max=3, so all age to [1,3,3,3].
-        assert_eq!(p.victim(), 1);
-        assert_eq!(p.rrpv(), &[1, 3, 3, 3]);
-    }
-
-    #[test]
-    fn aging_saturates_and_terminates() {
-        let mut p = Srrip::new(2, 3);
-        p.on_hit(0);
-        p.on_hit(1);
-        // Both at 0; victim search must age both up to 7 and pick way 0.
-        assert_eq!(p.victim(), 0);
-    }
-
-    #[test]
-    fn one_bit_srrip_degenerates_to_nru_like() {
-        let mut p = Srrip::new(3, 1);
-        for w in 0..3 {
-            p.on_fill(w);
-        }
-        // With 1-bit RRPVs a fill inserts at 0 (max-1 = 0).
-        assert_eq!(p.rrpv(), &[0, 0, 0]);
-        assert_eq!(p.victim(), 0);
-    }
-
-    #[test]
-    fn scan_does_not_flush_hot_ways() {
-        let mut p = Srrip::new(4, 2);
-        for w in 0..4 {
-            p.on_fill(w);
-        }
-        // Ways 0 and 1 stay hot (re-referenced every round); the scan
-        // misses must be contained in the cold ways.
-        for _ in 0..32 {
-            p.on_hit(0);
-            p.on_hit(1);
-            let v = p.victim();
-            assert!(v >= 2, "hot way {v} evicted by scan");
-            p.on_fill(v);
-        }
-    }
-
-    #[test]
     fn brrip_mostly_inserts_distant() {
         let mut p = Brrip::new(4, 2, 32, 11);
         for w in 0..4 {
@@ -287,7 +114,7 @@ mod tests {
         for _ in 0..trials {
             let v = p.victim();
             p.on_fill(v);
-            if p.inner.rrpv()[v] == 3 {
+            if p.state_key()[v] == 3 {
                 distant += 1;
             }
         }

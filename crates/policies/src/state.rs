@@ -3,27 +3,27 @@
 //!
 //! [`PolicyState`] holds one variant per [`PolicyKind`](crate::PolicyKind),
 //! except that the five recency-stack kinds share
-//! [`Recency`](PolicyState::Recency), plus [`Other`](PolicyState::Other)
+//! [`Recency`](PolicyState::Recency) and the three age-counter kinds
+//! share [`Age`](PolicyState::Age), plus [`Other`](PolicyState::Other)
 //! for policies outside the kind catalog, such as the DIP/DRRIP
-//! set-dueling families. The simulator
-//! stores it *inline* in each set: no heap box per set, no virtual call
-//! per access — every `on_hit`/`victim`/`on_fill` is a direct `match`
-//! that the compiler can inline into the access loop.
+//! set-dueling families. The simulator stores it *inline* in each set:
+//! no virtual call per access — every `on_hit`/`victim`/`on_fill` is a
+//! direct `match` that the compiler can inline into the access loop —
+//! and, for every deterministic kind up to 16 ways, no heap allocation
+//! per set (`tests/inline_policy_state.rs` counts them).
 //!
 //! `PolicyState` itself implements [`ReplacementPolicy`], so boxing one
 //! gives a trait object with identical behaviour where one is needed.
 
 use crate::{
-    Bip, BitPlru, Brrip, Clock, Nru, Qlru, RandomPolicy, RecencyPolicy, ReplacementPolicy, Srrip,
-    TreePlru,
+    AgePolicy, Bip, BitPlru, Brrip, Clock, RandomPolicy, RecencyPolicy, ReplacementPolicy, TreePlru,
 };
 
 /// Replacement state of one cache set, dispatched by `match` instead of
 /// through a vtable.
 ///
 /// Construct it with [`PolicyKind::build_state`](crate::PolicyKind::build_state),
-/// via the `From` conversions from the concrete policy types, or wrap an
-/// arbitrary boxed policy with [`from_boxed`](Self::from_boxed).
+/// or wrap an arbitrary boxed policy with [`from_boxed`](Self::from_boxed).
 ///
 /// The enum is at most 48 bytes, so a `CacheSet` embedding it stays one
 /// small contiguous block; `tests/engine_differential.rs` pins the size.
@@ -40,18 +40,15 @@ pub enum PolicyState {
     TreePlru(TreePlru),
     /// Bit-based pseudo-LRU.
     BitPlru(BitPlru),
-    /// Not recently used.
-    Nru(Nru),
     /// CLOCK / second chance.
     Clock(Clock),
+    /// NRU, SRRIP-k or QLRU-i: one age per way and the kind's
+    /// saturation and insertion ages.
+    Age(AgePolicy),
     /// Bimodal insertion policy (boxed: stochastic policies carry a
     /// PRNG, and keeping the fat rare variants behind a pointer keeps
     /// the enum — and every cache set embedding it — small).
     Bip(Box<Bip>),
-    /// Static RRIP.
-    Srrip(Srrip),
-    /// Quad-age LRU.
-    Qlru(Qlru),
     /// Bimodal RRIP (boxed, like [`PolicyState::Bip`]).
     Brrip(Box<Brrip>),
     /// Uniform random replacement (boxed, like [`PolicyState::Bip`]).
@@ -69,11 +66,9 @@ macro_rules! dispatch {
             PolicyState::Recency($p) => $e,
             PolicyState::TreePlru($p) => $e,
             PolicyState::BitPlru($p) => $e,
-            PolicyState::Nru($p) => $e,
             PolicyState::Clock($p) => $e,
+            PolicyState::Age($p) => $e,
             PolicyState::Bip($p) => $e,
-            PolicyState::Srrip($p) => $e,
-            PolicyState::Qlru($p) => $e,
             PolicyState::Brrip($p) => $e,
             PolicyState::Random($p) => $e,
             PolicyState::Other($p) => $e,
@@ -140,36 +135,6 @@ impl ReplacementPolicy for PolicyState {
 
     fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
         Box::new(self.clone())
-    }
-}
-
-macro_rules! from_concrete {
-    ($($ty:ident),* $(,)?) => {
-        $(impl From<$ty> for PolicyState {
-            fn from(p: $ty) -> Self {
-                PolicyState::$ty(p)
-            }
-        })*
-    };
-}
-
-from_concrete!(TreePlru, BitPlru, Nru, Clock, Srrip, Qlru);
-
-impl From<Bip> for PolicyState {
-    fn from(p: Bip) -> Self {
-        PolicyState::Bip(Box::new(p))
-    }
-}
-
-impl From<Brrip> for PolicyState {
-    fn from(p: Brrip) -> Self {
-        PolicyState::Brrip(Box::new(p))
-    }
-}
-
-impl From<RandomPolicy> for PolicyState {
-    fn from(p: RandomPolicy) -> Self {
-        PolicyState::Random(Box::new(p))
     }
 }
 

@@ -11,9 +11,11 @@
 //!
 //! Sharding serves two masters: it bounds the linear key scan per
 //! lookup (a shard holds at most [`MAX_WAYS`] entries) and it keeps
-//! lock contention down under concurrent load. Keys map to shards by
-//! their high hash bits, so the low bits — which FNV-1a mixes best —
-//! still spread entries within a shard.
+//! lock contention down under concurrent load. A key is a SipHash of
+//! the canonical request under per-process random keys, so all its
+//! bits are well mixed and its high bits pick the shard. The same key
+//! picks the job queue's shard too, so which shard a request lands in
+//! differs from one process to the next.
 
 use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,8 +132,6 @@ impl ResultCache {
         if self.shards.is_empty() {
             return None;
         }
-        // High bits pick the shard so low bits keep their spread
-        // within it.
         let index = (key >> 32) as usize % self.shards.len();
         Some(&self.shards[index])
     }

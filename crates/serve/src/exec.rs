@@ -24,7 +24,7 @@ use cachekit_core::analysis::{evict_distance_spec, minimal_lifespan_spec, Distan
 use cachekit_core::attack::{eviction_set_for_kind, stealth_score};
 use cachekit_core::infer::{engine_by_name, infer_geometry, Finding, InferenceRequest};
 use cachekit_core::perm::{
-    derive_permutation_spec, lazy_table_for_kind, table_for_kind, LazyTablePolicy, TablePolicy,
+    lazy_table_for_kind, table_for_kind, LazyTablePolicy, PermutationSpec, TablePolicy,
 };
 use cachekit_hw::{fleet, CacheLevel, LevelOracle};
 use cachekit_policies::kernel::kernel_available;
@@ -352,17 +352,15 @@ fn run_simulate_hierarchy(req: &SimulateHierarchyRequest) -> Json {
 }
 
 fn run_distances(req: &DistancesRequest) -> Json {
-    let spec = match derive_permutation_spec(Box::new(req.policy.build_state(req.assoc, 0))) {
-        Ok(s) => s,
-        Err(e) => {
-            return error_body(
-                "distances",
-                format!(
-                    "{} is not a (front-insertion) permutation policy: {e}",
-                    req.policy.label()
-                ),
-            )
-        }
+    let Some(spec) = PermutationSpec::for_kind(req.policy, req.assoc) else {
+        return error_body(
+            "distances",
+            format!(
+                "{} is not a permutation policy at {} ways",
+                req.policy.label(),
+                req.assoc
+            ),
+        );
     };
     let show = |r: Result<usize, DistanceError>| match r {
         Ok(v) => Json::from(v),

@@ -13,7 +13,8 @@
 //! [`PolicyKind::label`]) so that semantically equal requests — fields
 //! reordered, defaults elided, names case-shifted — produce the same
 //! [cache key](Request::cache_key), while any semantic difference
-//! changes the canonical bytes and therefore the key.
+//! changes the canonical bytes and, barring a collision of a hash keyed
+//! with a per-process secret, the key.
 
 use cachekit_bench::json::Json;
 use cachekit_core::attack::StealthScenario;
@@ -21,6 +22,8 @@ use cachekit_core::infer::{engine_names, ConfigError, InferenceConfig, ReadoutSe
 use cachekit_policies::PolicyKind;
 use cachekit_sim::Containment;
 use cachekit_trace::workloads;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::OnceLock;
 
 /// Largest capacity (bytes) a `simulate` request, or any level of a
 /// `simulate_hierarchy` request, may ask for; keeps one request's trace
@@ -320,10 +323,15 @@ impl Request {
         }
     }
 
-    /// The result-cache key: an FNV-1a hash of the canonical JSON
-    /// bytes.
+    /// The result-cache key: a keyed hash (SipHash, std's
+    /// [`RandomState`]) of the canonical JSON bytes. The keys are drawn
+    /// at random once per process, so nobody can compute a colliding
+    /// pair of requests offline, and a key means nothing outside the
+    /// process that computed it.
     pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical_json().as_bytes())
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        KEYS.get_or_init(RandomState::new)
+            .hash_one(self.canonical_json().as_bytes())
     }
 
     /// Short label of the request type (metrics attribution).
@@ -825,18 +833,6 @@ fn check_price(workload: &str, price: u64) -> Result<(), RequestError> {
     Ok(())
 }
 
-/// 64-bit FNV-1a over `bytes` — the canonical-key hash of the result
-/// cache. Stable across platforms and runs (no per-process seeding), so
-/// keys can be logged and compared between sessions.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,11 +1044,5 @@ mod tests {
         assert_eq!(config.seed, 11);
         assert_eq!(config.readout_search, ReadoutSearch::Linear);
         assert!(config.max_repetitions >= 5);
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 }

@@ -416,11 +416,6 @@ impl CacheSet {
     pub fn policy(&self) -> &dyn ReplacementPolicy {
         &self.policy
     }
-
-    /// The inline policy state (for engine-aware callers).
-    pub fn policy_state(&self) -> &PolicyState {
-        &self.policy
-    }
 }
 
 #[cfg(test)]

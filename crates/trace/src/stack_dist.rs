@@ -65,12 +65,6 @@ impl StackDistanceProfile {
         self.weights.get(d).copied().unwrap_or(0.0) / total
     }
 
-    /// The normalised cold-miss (first-touch) frequency.
-    pub fn cold_frequency(&self) -> f64 {
-        let total: f64 = self.weights.iter().sum::<f64>() + self.cold_weight;
-        self.cold_weight / total
-    }
-
     /// Expected LRU miss ratio for a fully-associative cache of `capacity`
     /// lines: the probability mass at distances `>= capacity`, plus cold
     /// misses. This analytic value is what makes profiles useful for

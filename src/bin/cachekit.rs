@@ -22,7 +22,7 @@ use cachekit::core::analysis::{evict_distance_spec, minimal_lifespan_spec, Dista
 use cachekit::core::infer::{
     engine_by_name, engine_names, infer_geometry, mapping, InferenceConfig, InferenceRequest,
 };
-use cachekit::core::perm::derive_permutation_spec;
+use cachekit::core::perm::PermutationSpec;
 use cachekit::core::query::Query;
 use cachekit::hw::{fleet, CacheLevel, LevelOracle, MeasureMode};
 use cachekit::policies::PolicyKind;
@@ -378,9 +378,9 @@ fn cmd_distances(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
     let assoc = parse_u64(&flags, "assoc", None)? as usize;
     let kind = parse_policy(flag(&flags, "policy")?, assoc)?;
-    let spec = derive_permutation_spec(Box::new(kind.build_state(assoc, 0))).map_err(|e| {
+    let spec = PermutationSpec::for_kind(kind, assoc).ok_or_else(|| {
         format!(
-            "{} is not a (front-insertion) permutation policy: {e}",
+            "{} is not a permutation policy at {assoc} ways",
             kind.label()
         )
     })?;

@@ -115,6 +115,34 @@ fn distances_prints_the_metrics() {
 }
 
 #[test]
+fn distances_covers_permutation_policies_that_insert_below_the_front() {
+    // LIP and SLRU are permutation policies that insert at the bottom
+    // and at the probationary position; their answers must be those of
+    // the solvers over the concrete policy.
+    use cachekit::core::analysis::{evict_distance, minimal_lifespan, DistanceError};
+    use cachekit::policies::PolicyKind;
+    let show = |r: Result<usize, DistanceError>| match r {
+        Ok(v) => v.to_string(),
+        Err(DistanceError::Unbounded) => "unbounded".to_owned(),
+        Err(e) => panic!("the concrete solver failed: {e}"),
+    };
+    for (name, kind) in [
+        ("LIP", PolicyKind::Lip),
+        ("SLRU-2", PolicyKind::Slru { protected: 2 }),
+    ] {
+        let policy = kind.build_state(4, 0);
+        let want = format!(
+            "evict = {}, mls = {}",
+            show(evict_distance(&policy, 8_000_000)),
+            show(minimal_lifespan(&policy, 8_000_000))
+        );
+        let (ok, out, err) = run(&["distances", "--policy", name, "--assoc", "4"]);
+        assert!(ok, "{name}: {err}");
+        assert!(out.contains(&want), "{name}: want {want:?}, out: {out}");
+    }
+}
+
+#[test]
 fn distances_rejects_non_permutation_policies() {
     let (ok, _, err) = run(&["distances", "--policy", "BitPLRU", "--assoc", "4"]);
     assert!(!ok);

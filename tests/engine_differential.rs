@@ -6,7 +6,7 @@
 //!
 //! | subject | kinds × ways | test |
 //! |---------|--------------|------|
-//! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind` | 13 differential kinds × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
+//! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind`, the age-counter kinds a test-local reference | 13 differential kinds and QLRU-1 × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
 //! | `CacheSet` over `TablePolicy` | every pair whose eager table compiles; a must-compile list | `table_engine_is_bit_identical_where_it_compiles` |
 //! | `CacheSet` over `LazyTablePolicy` | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_for_every_deterministic_kind` |
 //! | the same, with invalidations interleaved | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_under_invalidation` |
@@ -15,18 +15,22 @@
 //! | `KernelCache` on an interleaved multi-set stream | LRU/FIFO/PLRU/NRU × 4/8/16 | `batch_kernels_are_bit_identical_across_the_whole_grid` |
 //! | `CacheSet` over `TablePolicy` compiled by `PermTable::from_spec`, against the spec interpreter | catalog specs × 4/8 | `catalog_specs_round_trip_through_compiled_tables` |
 //! | the enum engine against a pinned digest | LRU, FIFO, LIP, LazyLRU, every SLRU-k × 1–64 | `stack_kinds_replay_the_pinned_event_stream` |
+//! | the enum engine against a pinned digest | NRU, SRRIP-1…7, QLRU-0…3, BitPLRU, CLOCK, BRRIP-2-1/32 × 1–128 | `age_and_bit_kinds_replay_the_pinned_event_stream` |
 //!
 //! The boxed engine is a faithful local replica of the pre-refactor
 //! cache set (array-of-`Option` tags driving policies behind
-//! `Box<dyn ReplacementPolicy>`), so the suite pins enum dispatch to
-//! independent implementations, not to itself. The five recency-stack
-//! kinds run there as the permutation-spec interpreter, which shares no
-//! step code with the enum engine's `RecencyPolicy`; the other kinds run
-//! their concrete policies. The enum engine itself passes the policy
+//! `Box<dyn ReplacementPolicy>`). Two groups of kinds run there on
+//! independent implementations: the five recency-stack kinds as the
+//! permutation-spec interpreter, which shares no step code with the enum
+//! engine's `RecencyPolicy`, and NRU, SRRIP-2 and QLRU-1 as the
+//! test-local `ReferenceAges`, which shares none with `AgePolicy`. The
+//! other kinds run their concrete policies boxed, which checks dispatch
+//! and the set, not the policy. The enum engine itself passes the policy
 //! conformance battery and, for deterministic kinds, state-key
-//! soundness, and the recency-stack kinds, the catalog and the set
-//! layout are pinned to figures computed before those kinds were merged
-//! into one policy.
+//! soundness. The recency-stack kinds and the catalog are pinned to
+//! digests computed before those kinds were merged into one policy, the
+//! age-counter and bit-vector kinds to one computed before the age
+//! kinds were merged, and the set layout to its stated size.
 
 use cachekit::core::perm::{
     catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTablePolicy, PermTable,
@@ -36,10 +40,10 @@ use cachekit::policies::conformance::{assert_conformance, assert_state_key_sound
 use cachekit::policies::kernel::KernelCache;
 use cachekit::policies::rng::{mix64, Prng};
 use cachekit::policies::{
-    Bip, BitPlru, Brrip, Clock, Nru, PolicyKind, PolicyState, Qlru, RandomPolicy,
-    ReplacementPolicy, Srrip, TreePlru,
+    Bip, BitPlru, Brrip, Clock, PolicyKind, PolicyState, RandomPolicy, ReplacementPolicy, TreePlru,
 };
 use cachekit::sim::{AccessOutcome, CacheSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const ASSOCS: [usize; 3] = [4, 8, 16];
@@ -80,9 +84,84 @@ impl BoxedSet {
     }
 }
 
+/// A test-local age-counter policy sharing no step code with the
+/// library's `AgePolicy`: per-way ages in a `Vec`, a fill at the
+/// insertion age, and the victim search as a loop that ages every way
+/// until one saturates.
+#[derive(Debug, Clone)]
+struct ReferenceAges {
+    ages: Vec<u8>,
+    max: u8,
+    insert: u8,
+}
+
+impl ReferenceAges {
+    /// NRU is a 1-bit counter filled at 0; SRRIP-k saturates at
+    /// 2^k − 1 and fills one below; QLRU-i saturates at 3 and fills at i.
+    fn new(kind: PolicyKind, assoc: usize) -> Self {
+        let (max, insert) = match kind {
+            PolicyKind::Nru => (1, 0),
+            PolicyKind::Srrip { bits } => ((1 << bits) - 1, (1 << bits) - 2),
+            PolicyKind::Qlru { insert } => (3, insert),
+            _ => unreachable!("{kind:?} is not an age-counter kind"),
+        };
+        Self {
+            ages: vec![max; assoc],
+            max,
+            insert,
+        }
+    }
+}
+
+impl ReplacementPolicy for ReferenceAges {
+    fn associativity(&self) -> usize {
+        self.ages.len()
+    }
+
+    fn name(&self) -> String {
+        "reference ages".to_owned()
+    }
+
+    fn on_hit(&mut self, way: usize) {
+        self.ages[way] = 0;
+    }
+
+    fn victim(&mut self) -> usize {
+        loop {
+            if let Some(way) = self.ages.iter().position(|&age| age == self.max) {
+                return way;
+            }
+            for age in &mut self.ages {
+                *age += 1;
+            }
+        }
+    }
+
+    fn on_fill(&mut self, way: usize) {
+        self.ages[way] = self.insert;
+    }
+
+    fn on_invalidate(&mut self, way: usize) {
+        self.ages[way] = self.max;
+    }
+
+    fn reset(&mut self) {
+        self.ages = vec![self.max; self.ages.len()];
+    }
+
+    fn state_key(&self) -> Vec<u8> {
+        self.ages.clone()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+}
+
 /// The boxed policy the replica runs, with the per-set seed derivation
 /// [`PolicyKind::build_state`] applies: the spec interpreter for the
-/// recency-stack kinds, the concrete policy for every other kind.
+/// recency-stack kinds, [`ReferenceAges`] for the age-counter kinds, and
+/// the concrete policy for every other kind.
 fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn ReplacementPolicy> {
     match kind {
         PolicyKind::Lru
@@ -92,17 +171,17 @@ fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn Replacemen
         | PolicyKind::LazyLru => Box::new(PermutationPolicy::new(
             PermutationSpec::for_kind(kind, assoc).expect("a recency-stack kind"),
         )),
+        PolicyKind::Nru | PolicyKind::Srrip { .. } | PolicyKind::Qlru { .. } => {
+            Box::new(ReferenceAges::new(kind, assoc))
+        }
         PolicyKind::TreePlru => Box::new(TreePlru::new(assoc)),
         PolicyKind::BitPlru => Box::new(BitPlru::new(assoc)),
-        PolicyKind::Nru => Box::new(Nru::new(assoc)),
         PolicyKind::Clock => Box::new(Clock::new(assoc)),
         PolicyKind::Bip { throttle } => Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))),
-        PolicyKind::Srrip { bits } => Box::new(Srrip::new(assoc, bits)),
         PolicyKind::Brrip { bits, throttle } => {
             Box::new(Brrip::new(assoc, bits, throttle, mix64(0xbbb1, salt)))
         }
         PolicyKind::Random { seed } => Box::new(RandomPolicy::new(assoc, mix64(seed, salt))),
-        PolicyKind::Qlru { insert } => Box::new(Qlru::new(assoc, insert)),
     }
 }
 
@@ -129,7 +208,9 @@ fn stream(assoc: usize, len: usize, seed: u64) -> Vec<u64> {
 
 #[test]
 fn boxed_and_enum_engines_are_bit_identical() {
-    for kind in PolicyKind::differential_kinds() {
+    let mut kinds = PolicyKind::differential_kinds();
+    kinds.push(PolicyKind::Qlru { insert: 1 });
+    for kind in kinds {
         for assoc in ASSOCS {
             let salt = assoc as u64;
             let mut boxed = BoxedSet::new(boxed_policy(kind, assoc, salt));
@@ -549,6 +630,62 @@ fn stack_kinds_replay_the_pinned_event_stream() {
     assert_eq!(
         hash, 0x2527_65af_64b6_9d30,
         "stack-kind digest {hash:#018x}"
+    );
+}
+
+/// The age-counter kinds (NRU, every SRRIP width, every QLRU insertion
+/// age), the two bit-vector kinds, and BRRIP over the age counters.
+fn age_and_bit_kinds() -> Vec<PolicyKind> {
+    let mut kinds = vec![PolicyKind::Nru];
+    kinds.extend((1..=7).map(|bits| PolicyKind::Srrip { bits }));
+    kinds.extend((0..=3).map(|insert| PolicyKind::Qlru { insert }));
+    kinds.extend([
+        PolicyKind::BitPlru,
+        PolicyKind::Clock,
+        PolicyKind::Brrip {
+            bits: 2,
+            throttle: 32,
+        },
+    ]);
+    kinds
+}
+
+#[test]
+fn age_and_bit_kinds_replay_the_pinned_event_stream() {
+    // Each kind at 1–128 ways, driven through a seeded mix of every
+    // policy event. The digest folds each kind's name, every victim,
+    // and after every event the index of the first step of the run
+    // whose state key equalled the current one: a fingerprint of which
+    // states the run revisits that does not depend on how a key encodes
+    // its state.
+    let mut hash = FNV_OFFSET;
+    for assoc in [1usize, 2, 3, 4, 6, 8, 16, 24, 32, 64, 128] {
+        for (i, kind) in age_and_bit_kinds().into_iter().enumerate() {
+            let mut policy = kind.build_state(assoc, 0);
+            hash = fnv(hash, policy.name().as_bytes());
+            let mut rng = Prng::seed_from_u64(mix64(0xA6E ^ assoc as u64, i as u64));
+            let mut first_seen: HashMap<Vec<u8>, u64> = HashMap::new();
+            for step in 0..600u64 {
+                let way = rng.gen_range(0..assoc);
+                match rng.gen_range(0..100u32) {
+                    0..=34 => policy.on_hit(way),
+                    35..=54 => policy.on_fill(way),
+                    55..=84 => {
+                        let victim = policy.victim();
+                        hash = fnv(hash, &(victim as u64).to_le_bytes());
+                        policy.on_fill(victim);
+                    }
+                    85..=97 => policy.on_invalidate(way),
+                    _ => policy.reset(),
+                }
+                let first = *first_seen.entry(policy.state_key()).or_insert(step);
+                hash = fnv(hash, &first.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        hash, 0x3865_0ab6_288f_497c,
+        "age/bit-kind digest {hash:#018x}"
     );
 }
 

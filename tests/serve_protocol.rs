@@ -472,3 +472,73 @@ fn canonical_json_round_trips_to_the_same_request() {
         assert_eq!(reparsed.canonical_json(), canonical);
     }
 }
+
+/// Two `simulate` requests whose canonical JSON differs in `writes`
+/// and `seed` but whose unkeyed 64-bit FNV-1a hashes are equal
+/// (`b3399244af86f1bc`), found offline by a collision search. A client
+/// that sends the first must not plant the answer to the second: the
+/// second is computed (`X-Cache: miss`) and gets its own body.
+#[test]
+fn a_crafted_hash_collision_cannot_answer_another_request() {
+    use cachekit::serve::http::client::Connection;
+    use cachekit::serve::{Executor, PipelineExecutor, ServeConfig, Server};
+
+    let planted = r#"{"type":"simulate","policy":"LRU","capacity":4096,"assoc":4,"line":64,"workload":"zipf_hot","writes":0.97406005859375,"seed":472979717596352}"#;
+    let victim = r#"{"type":"simulate","policy":"LRU","capacity":4096,"assoc":4,"line":64,"workload":"zipf_hot","writes":0.53619384765625,"seed":458633912187062}"#;
+    let handle = Server::start(ServeConfig {
+        queue_shards: 1,
+        workers_per_shard: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut conn = Connection::open(&handle.addr().to_string()).expect("connect");
+    let first = conn.post_json("/v1/query", planted).expect("request");
+    assert_eq!(first.status, 200, "body: {}", first.body_str());
+    assert_eq!(first.header("x-cache"), Some("miss"));
+
+    let second = conn.post_json("/v1/query", victim).expect("request");
+    assert_eq!(second.status, 200, "body: {}", second.body_str());
+    assert_eq!(
+        second.header("x-cache"),
+        Some("miss"),
+        "a different request was answered from another request's entry"
+    );
+    let own = PipelineExecutor
+        .execute(&Request::parse(victim).unwrap())
+        .to_compact();
+    assert_eq!(second.body_str(), own);
+    assert_ne!(second.body_str(), first.body_str());
+    handle.shutdown();
+}
+
+/// LIP and SLRU are permutation policies that insert below the front;
+/// `distances` must answer them with what the solvers over the
+/// concrete policy compute.
+#[test]
+fn distances_answers_policies_that_insert_below_the_front() {
+    use cachekit::core::analysis::{evict_distance, minimal_lifespan, DistanceError};
+    use cachekit::serve::{Executor, PipelineExecutor};
+
+    let show = |r: Result<usize, DistanceError>| match r {
+        Ok(v) => v.to_string(),
+        Err(DistanceError::Unbounded) => "\"unbounded\"".to_owned(),
+        Err(e) => panic!("the concrete solver failed: {e}"),
+    };
+    for (label, kind) in [
+        ("LIP", PolicyKind::Lip),
+        ("SLRU-2", PolicyKind::Slru { protected: 2 }),
+    ] {
+        let policy = kind.build_state(4, 0);
+        let request = format!(r#"{{"type":"distances","policy":"{label}","assoc":4}}"#);
+        let body = PipelineExecutor
+            .execute(&Request::parse(&request).unwrap())
+            .to_compact();
+        let want = format!(
+            "\"evict_distance\":{},\"minimal_lifespan\":{}",
+            show(evict_distance(&policy, 8_000_000)),
+            show(minimal_lifespan(&policy, 8_000_000))
+        );
+        assert!(body.contains("\"ok\":true"), "{label}: {body}");
+        assert!(body.contains(&want), "{label}: want {want}, body: {body}");
+    }
+}
