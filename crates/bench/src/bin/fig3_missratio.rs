@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p cachekit-bench --bin fig3_missratio`
 
 use cachekit_bench::{jobj, json::Json, pct, Runner, Table};
-use cachekit_policies::{DipFamily, DrripFamily, PolicyKind};
+use cachekit_policies::{DuelFamily, PolicyKind};
 use cachekit_sim::{sweep, Cache, CacheConfig, Hierarchy, LevelSpec};
 use cachekit_trace::workloads;
 
@@ -14,11 +14,16 @@ use cachekit_trace::workloads;
 fn adaptive_miss_ratio(config: CacheConfig, which: &str, trace: &[u64]) -> f64 {
     let mut cache = match which {
         "DIP" => {
-            let family = DipFamily::new(config.associativity(), 32, 0xD1B);
+            let bip = PolicyKind::Bip { throttle: 32 };
+            let family = DuelFamily::new(bip, config.associativity(), 0xD1B);
             Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set))
         }
         _ => {
-            let family = DrripFamily::new(config.associativity(), 2, 32, 0xD2B);
+            let brrip = PolicyKind::Brrip {
+                bits: 2,
+                throttle: 32,
+            };
+            let family = DuelFamily::new(brrip, config.associativity(), 0xD2B);
             Cache::with_policy_factory(config, "DRRIP", move |set| family.policy_for_set(set))
         }
     };

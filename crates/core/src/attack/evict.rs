@@ -10,6 +10,7 @@
 //! `tests/eviction_sets.rs` verifies against the simulator).
 
 use crate::automata::{template_machine, Mealy};
+use crate::infer::sets::{find_eviction_set, EvictionSetError};
 use crate::infer::{CacheOracle, Finding};
 use crate::perm::{derive_permutation_spec, PermutationSpec};
 use cachekit_policies::PolicyKind;
@@ -432,23 +433,23 @@ pub fn eviction_set_for_kind(
     eviction_set_for_machine(&machine, assoc, stride)
 }
 
-/// Reduce a candidate superset to a congruent eviction set of exactly
-/// `assoc` lines by group testing (the "Theory and Practice of Finding
-/// Eviction Sets" reduction): while the set is larger than `assoc`,
-/// split it into `assoc + 1` groups and drop any group whose removal
-/// still leaves the target evicted. Each round shrinks the set by a
-/// factor of `assoc / (assoc + 1)`, so the total number of oracle
-/// measurements is `O(assoc² · log |candidates|)`.
+/// Reduce a candidate superset to a minimal eviction set for `target`
+/// by group testing (the "Theory and Practice of Finding Eviction Sets"
+/// reduction): [`find_eviction_set`] with `assoc + 1` groups and one
+/// measurement per test. The candidates may hold lines of other sets;
+/// with `assoc + 1` parts one part always holds no needed line, so the
+/// reduction ends at exactly the `assoc` congruent lines on an LRU-like
+/// channel.
 ///
 /// The eviction test is black-box: warm the target and the current set,
 /// then probe the target — a miss means the set evicted it.
 ///
 /// # Errors
 ///
-/// [`AttackError::ReductionFailed`] when the initial candidates do not
-/// evict the target or no group can be removed (a policy whose eviction
-/// behaviour is not monotone in the set can defeat the reduction; the
-/// error reports it instead of looping).
+/// [`AttackError::ReductionFailed`] when there are fewer candidates than
+/// ways, the candidates do not evict the target, or the reduction stalls
+/// (a policy whose eviction behaviour is not monotone in the set can
+/// defeat it; the error reports it instead of looping).
 pub fn reduce_candidates<O: CacheOracle + ?Sized>(
     oracle: &mut O,
     target: u64,
@@ -456,42 +457,19 @@ pub fn reduce_candidates<O: CacheOracle + ?Sized>(
     assoc: usize,
 ) -> Result<Vec<u64>, AttackError> {
     assert!(assoc >= 1, "associativity must be at least 1");
-    let evicts = |oracle: &mut O, set: &[u64]| {
-        let mut warmup = Vec::with_capacity(set.len() + 1);
-        warmup.push(target);
-        warmup.extend_from_slice(set);
-        oracle.measure(&warmup, &[target]) >= 1
-    };
-    let mut set: Vec<u64> = candidates.to_vec();
-    if set.len() < assoc {
+    if candidates.len() < assoc {
         return Err(AttackError::ReductionFailed {
-            reason: format!("{} candidates cannot cover {assoc} ways", set.len()),
+            reason: format!("{} candidates cannot cover {assoc} ways", candidates.len()),
         });
     }
-    if !evicts(oracle, &set) {
-        return Err(AttackError::ReductionFailed {
-            reason: "candidate set does not evict the target".into(),
-        });
-    }
-    while set.len() > assoc {
-        let groups = assoc + 1;
-        let chunk = set.len().div_ceil(groups);
-        let removable = (0..set.len().div_ceil(chunk)).find_map(|g| {
-            let lo = g * chunk;
-            let hi = (lo + chunk).min(set.len());
-            let mut rest = Vec::with_capacity(set.len() - (hi - lo));
-            rest.extend_from_slice(&set[..lo]);
-            rest.extend_from_slice(&set[hi..]);
-            evicts(oracle, &rest).then_some(rest)
-        });
-        match removable {
-            Some(rest) => set = rest,
-            None => {
-                return Err(AttackError::ReductionFailed {
-                    reason: format!("no removable group at {} candidates", set.len()),
-                })
-            }
+    find_eviction_set(oracle, target, candidates, assoc + 1, 1).map_err(|e| {
+        AttackError::ReductionFailed {
+            reason: match e {
+                EvictionSetError::PoolDoesNotConflict => {
+                    "candidate set does not evict the target".into()
+                }
+                stuck => stuck.to_string(),
+            },
         }
-    }
-    Ok(set)
+    })
 }

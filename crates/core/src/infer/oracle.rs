@@ -318,7 +318,7 @@ impl<O: CacheOracle> CacheOracle for Recorded<O> {
 /// # Panics
 ///
 /// Panics if `repetitions` is zero.
-pub fn measure_voted<O: CacheOracle>(
+pub fn measure_voted<O: CacheOracle + ?Sized>(
     oracle: &mut O,
     warmup: &[u64],
     probe: &[u64],

@@ -46,7 +46,7 @@ impl Error for EvictionSetError {}
 ///
 /// The conflict test of the eviction-set literature: touch the target,
 /// stream the candidates, re-probe the target.
-pub fn evicts<O: CacheOracle>(
+pub fn evicts<O: CacheOracle + ?Sized>(
     oracle: &mut O,
     target: u64,
     candidates: &[u64],
@@ -76,7 +76,7 @@ pub fn evicts<O: CacheOracle>(
 /// # Errors
 ///
 /// See [`EvictionSetError`].
-pub fn find_eviction_set<O: CacheOracle>(
+pub fn find_eviction_set<O: CacheOracle + ?Sized>(
     oracle: &mut O,
     target: u64,
     pool: &[u64],

@@ -113,11 +113,6 @@ impl Bank {
         });
         &block[(id as usize % BLOCK) * self.stride + lane]
     }
-
-    /// Bytes currently allocated by touched blocks.
-    fn bytes(&self) -> usize {
-        self.blocks.iter().filter(|b| b.get().is_some()).count() * BLOCK * self.stride * 4
-    }
 }
 
 /// Like [`Bank`] but one `u64` per state, for the victim edge (the slot
@@ -145,10 +140,6 @@ impl VictimBank {
                 .into_boxed_slice()
         });
         &block[id as usize % BLOCK]
-    }
-
-    fn bytes(&self) -> usize {
-        self.blocks.iter().filter(|b| b.get().is_some()).count() * BLOCK * 8
     }
 }
 
@@ -245,17 +236,6 @@ impl LazyPermTable {
     /// running in direct mode).
     pub fn saturated(&self) -> bool {
         self.next.load(Ordering::Relaxed) as usize >= self.budget
-    }
-
-    /// Approximate memory currently committed to edge rows and the
-    /// index, in bytes (for bench reports). Arena entries (key + boxed
-    /// policy clone per state) come on top.
-    pub fn table_bytes(&self) -> usize {
-        self.index.len() * 8
-            + self.hit.bytes()
-            + self.fill.bytes()
-            + self.inv.bytes()
-            + self.vic.bytes()
     }
 
     /// The id of the cold (reset) state.

@@ -233,11 +233,6 @@ impl PermTable {
         &self.source
     }
 
-    /// Approximate table memory in bytes (for bench reports).
-    pub fn table_bytes(&self) -> usize {
-        self.hit.len() * 2 + self.fill_next.len() * 2 + self.fill_way.len()
-    }
-
     #[inline]
     fn hit_next(&self, state: u16, way: usize) -> u16 {
         let next = self.hit[state as usize * self.assoc + way];

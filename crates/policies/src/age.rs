@@ -109,13 +109,6 @@ impl AgePolicy {
         self.ages.as_mut_slice()
     }
 
-    /// Set `way` to the saturation age: what an invalidation does, and
-    /// BRRIP's and DRRIP's distant insertion.
-    #[inline]
-    pub(crate) fn fill_distant(&mut self, way: usize) {
-        self.set_age(way, self.rule.max);
-    }
-
     #[inline]
     fn set_age(&mut self, way: usize, age: u8) {
         let ages = self.ages.as_mut_slice();
@@ -157,7 +150,7 @@ impl ReplacementPolicy for AgePolicy {
 
     #[inline]
     fn on_invalidate(&mut self, way: usize) {
-        self.fill_distant(way);
+        self.set_age(way, self.rule.max);
     }
 
     fn reset(&mut self) {

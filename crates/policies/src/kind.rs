@@ -3,7 +3,7 @@
 use crate::age::{AgePolicy, AgeRule};
 use crate::recency::{RecencyPolicy, RecencyRule};
 use crate::rng::mix64;
-use crate::{Bip, BitPlru, Brrip, Clock, PolicyState, RandomPolicy, TreePlru};
+use crate::{Bimodal, BitPlru, Clock, PolicyState, RandomPolicy, TreePlru};
 
 /// A constructible replacement-policy identity.
 ///
@@ -81,12 +81,17 @@ impl PolicyKind {
     /// deterministic kind up to 16 ways.
     ///
     /// `salt` differentiates per-set RNG streams for stochastic policies
-    /// (pass the set index); deterministic policies ignore it.
+    /// (pass the set index); deterministic policies ignore it. BIP and
+    /// BRRIP are one [`Bimodal`] over the base their bimodal rule names
+    /// (LRU or SRRIP-k).
     ///
     /// # Panics
     ///
-    /// Panics if `assoc` is 0 or greater than 128, or if a kind-specific
-    /// parameter is invalid (zero throttle, RRPV width outside `1..=7`).
+    /// Panics exactly where [`validate_for_assoc`](Self::validate_for_assoc)
+    /// returns an error: `assoc` outside `1..=128`, or an invalid
+    /// kind-specific parameter (zero throttle, RRPV width outside
+    /// `1..=7`, QLRU insertion age above 3, SLRU leaving no
+    /// probationary position).
     pub fn build_state(self, assoc: usize, salt: u64) -> PolicyState {
         match self {
             PolicyKind::Lru
@@ -100,15 +105,12 @@ impl PolicyKind {
             PolicyKind::TreePlru => PolicyState::TreePlru(TreePlru::new(assoc)),
             PolicyKind::BitPlru => PolicyState::BitPlru(BitPlru::new(assoc)),
             PolicyKind::Clock => PolicyState::Clock(Clock::new(assoc)),
-            PolicyKind::Bip { throttle } => {
-                PolicyState::Bip(Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))))
+            PolicyKind::Bip { .. } => {
+                PolicyState::Bimodal(Box::new(Bimodal::new(self, assoc, mix64(0xb1b0, salt))))
             }
-            PolicyKind::Brrip { bits, throttle } => PolicyState::Brrip(Box::new(Brrip::new(
-                assoc,
-                bits,
-                throttle,
-                mix64(0xbbb1, salt),
-            ))),
+            PolicyKind::Brrip { .. } => {
+                PolicyState::Bimodal(Box::new(Bimodal::new(self, assoc, mix64(0xbbb1, salt))))
+            }
             PolicyKind::Random { seed } => {
                 PolicyState::Random(Box::new(RandomPolicy::new(assoc, mix64(seed, salt))))
             }
@@ -184,18 +186,58 @@ impl PolicyKind {
         Some(AgeRule { max, insert })
     }
 
+    /// The bimodal rule of the kind — the base kind it runs and the
+    /// throttle `t` of its fill — or `None` for a kind that is not
+    /// bimodal. This is the one definition of these two kinds; the
+    /// policy the simulator runs and the DIP and DRRIP duels both read
+    /// it.
+    ///
+    /// | kind | base | throttle |
+    /// |---|---|---|
+    /// | BIP-1/t (Qureshi et al., ISCA 2007) | LRU | t |
+    /// | BRRIP-k-1/t (Jaleel et al., ISCA 2010) | SRRIP-k | t |
+    ///
+    /// A fill draws once and, with probability `1/t`, is the base's
+    /// fill; otherwise it is the base's invalidation step, so the line
+    /// starts where the base evicts next: the bottom of LRU's stack (as
+    /// LIP inserts) or SRRIP-k's distant age 2^k − 1. Hits, victims,
+    /// invalidations and the state key are the base's. A duel
+    /// ([`DuelFamily`](crate::DuelFamily)) pits the kind against its
+    /// base: DIP against LRU, DRRIP against SRRIP-k.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the throttle is 0.
+    pub(crate) fn bimodal_rule(self) -> Option<(PolicyKind, u32)> {
+        let (base, throttle) = match self {
+            PolicyKind::Bip { throttle } => (PolicyKind::Lru, throttle),
+            PolicyKind::Brrip { bits, throttle } => (PolicyKind::Srrip { bits }, throttle),
+            _ => return None,
+        };
+        assert!(throttle >= 1, "throttle must be at least 1");
+        Some((base, throttle))
+    }
+
     /// Check the kind's parameters against an associativity without
     /// building, returning a client-reportable message on mismatch.
     ///
-    /// [`build_state`](Self::build_state) asserts these same constraints; callers
-    /// that construct policies from untrusted input (the serving
-    /// protocol, config files) should validate here first so a bad
-    /// request is an error, not a panic.
+    /// [`build_state`](Self::build_state) asserts these same constraints,
+    /// so `Ok` means it cannot panic; callers that construct policies
+    /// from untrusted input (the serving protocol, config files) should
+    /// validate here first so a bad request is an error, not a panic.
     pub fn validate_for_assoc(self, assoc: usize) -> Result<(), String> {
         if assoc == 0 || assoc > 128 {
             return Err(format!("associativity {assoc} outside 1..=128"));
         }
         match self {
+            PolicyKind::Srrip { bits } | PolicyKind::Brrip { bits, .. }
+                if !(1..=7).contains(&bits) =>
+            {
+                Err(format!("RRPV width {bits} outside 1..=7 bits"))
+            }
+            PolicyKind::Bip { throttle: 0 } | PolicyKind::Brrip { throttle: 0, .. } => {
+                Err("throttle must be at least 1 (the fill probability is 1/throttle)".into())
+            }
             PolicyKind::Slru { protected } if protected >= assoc => Err(format!(
                 "SLRU protected segment {protected} must be below the associativity {assoc} \
                  (at least one probationary position is required)"
@@ -446,6 +488,28 @@ mod tests {
         assert!(PolicyKind::Lru.validate_for_assoc(129).is_err());
         for kind in PolicyKind::differential_kinds() {
             assert!(kind.validate_for_assoc(4).is_ok(), "kind {kind:?}");
+        }
+    }
+
+    #[test]
+    fn validate_for_assoc_is_ok_exactly_where_build_state_does_not_panic() {
+        let mut kinds = PolicyKind::differential_kinds();
+        kinds.extend((0..=4).map(|insert| PolicyKind::Qlru { insert }));
+        kinds.extend([0, 1, 7, 8, 9].map(|bits| PolicyKind::Srrip { bits }));
+        for bits in [0, 2, 8] {
+            kinds.extend([0, 1].map(|throttle| PolicyKind::Brrip { bits, throttle }));
+        }
+        kinds.extend([0, 1].map(|throttle| PolicyKind::Bip { throttle }));
+        kinds.extend([0, 3, 4].map(|protected| PolicyKind::Slru { protected }));
+        for kind in kinds {
+            for assoc in [0usize, 1, 4, 128, 129] {
+                let builds = std::panic::catch_unwind(|| kind.build_state(assoc, 0)).is_ok();
+                assert_eq!(
+                    kind.validate_for_assoc(assoc).is_ok(),
+                    builds,
+                    "{kind:?} at {assoc} ways"
+                );
+            }
         }
     }
 

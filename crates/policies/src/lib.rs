@@ -36,26 +36,22 @@
 use std::fmt;
 
 mod age;
-mod bip;
+mod bimodal;
 mod bit_plru;
 mod clock;
-mod dip;
 mod kind;
 mod random;
 mod recency;
-mod srrip;
 mod state;
 mod tree_plru;
 
 pub use age::AgePolicy;
-pub use bip::Bip;
+pub use bimodal::{Bimodal, DuelFamily, DuelState};
 pub use bit_plru::BitPlru;
 pub use clock::Clock;
-pub use dip::{Dip, DipFamily, Drrip, DrripFamily, DuelState};
 pub use kind::PolicyKind;
 pub use random::RandomPolicy;
 pub use recency::{RecencyPolicy, RecencyRule};
-pub use srrip::Brrip;
 pub use state::PolicyState;
 pub use tree_plru::TreePlru;
 

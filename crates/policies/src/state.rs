@@ -3,10 +3,11 @@
 //!
 //! [`PolicyState`] holds one variant per [`PolicyKind`](crate::PolicyKind),
 //! except that the five recency-stack kinds share
-//! [`Recency`](PolicyState::Recency) and the three age-counter kinds
-//! share [`Age`](PolicyState::Age), plus [`Other`](PolicyState::Other)
-//! for policies outside the kind catalog, such as the DIP/DRRIP
-//! set-dueling families. The simulator stores it *inline* in each set:
+//! [`Recency`](PolicyState::Recency), the three age-counter kinds share
+//! [`Age`](PolicyState::Age) and the two bimodal kinds share
+//! [`Bimodal`](PolicyState::Bimodal), plus [`Other`](PolicyState::Other)
+//! for policies outside the kind catalog, such as the sets of a DIP or
+//! DRRIP duel. The simulator stores it *inline* in each set:
 //! no virtual call per access — every `on_hit`/`victim`/`on_fill` is a
 //! direct `match` that the compiler can inline into the access loop —
 //! and, for every deterministic kind up to 16 ways, no heap allocation
@@ -16,7 +17,7 @@
 //! gives a trait object with identical behaviour where one is needed.
 
 use crate::{
-    AgePolicy, Bip, BitPlru, Brrip, Clock, RandomPolicy, RecencyPolicy, ReplacementPolicy, TreePlru,
+    AgePolicy, Bimodal, BitPlru, Clock, RandomPolicy, RecencyPolicy, ReplacementPolicy, TreePlru,
 };
 
 /// Replacement state of one cache set, dispatched by `match` instead of
@@ -45,16 +46,16 @@ pub enum PolicyState {
     /// NRU, SRRIP-k or QLRU-i: one age per way and the kind's
     /// saturation and insertion ages.
     Age(AgePolicy),
-    /// Bimodal insertion policy (boxed: stochastic policies carry a
-    /// PRNG, and keeping the fat rare variants behind a pointer keeps
-    /// the enum — and every cache set embedding it — small).
-    Bip(Box<Bip>),
-    /// Bimodal RRIP (boxed, like [`PolicyState::Bip`]).
-    Brrip(Box<Brrip>),
-    /// Uniform random replacement (boxed, like [`PolicyState::Bip`]).
+    /// BIP-1/t or BRRIP-k-1/t: LRU or SRRIP-k, whose state it holds,
+    /// with a bimodal fill (boxed: stochastic policies carry a PRNG, and
+    /// keeping the fat rare variants behind a pointer keeps the enum —
+    /// and every cache set embedding it — small).
+    Bimodal(Box<Bimodal>),
+    /// Uniform random replacement (boxed, like
+    /// [`PolicyState::Bimodal`]).
     Random(Box<RandomPolicy>),
     /// Any policy outside the [`PolicyKind`](crate::PolicyKind) catalog
-    /// (set-dueling DIP/DRRIP members, derived permutation policies,
+    /// (the sets of a DIP or DRRIP duel, derived permutation policies,
     /// compiled-table adapters). Pays the old boxed dispatch cost.
     Other(Box<dyn ReplacementPolicy>),
 }
@@ -68,8 +69,7 @@ macro_rules! dispatch {
             PolicyState::BitPlru($p) => $e,
             PolicyState::Clock($p) => $e,
             PolicyState::Age($p) => $e,
-            PolicyState::Bip($p) => $e,
-            PolicyState::Brrip($p) => $e,
+            PolicyState::Bimodal($p) => $e,
             PolicyState::Random($p) => $e,
             PolicyState::Other($p) => $e,
         }

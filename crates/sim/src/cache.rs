@@ -634,16 +634,23 @@ mod tests {
     /// per-access calls after every chunk.
     #[test]
     fn access_many_keeps_program_order_for_set_dueling() {
-        use cachekit_policies::{DipFamily, DrripFamily, DuelState};
+        use cachekit_policies::{DuelFamily, DuelState};
         use std::sync::Arc;
         let cfg = CacheConfig::new(64 * 1024, 8, 64).unwrap();
         let build = |name: &str| -> (Cache, Arc<DuelState>) {
             if name == "DIP" {
-                let f = DipFamily::new(8, 32, 7);
+                let f = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 7);
                 let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));
                 (c, Arc::clone(f.duel()))
             } else {
-                let f = DrripFamily::new(8, 2, 32, 7);
+                let f = DuelFamily::new(
+                    PolicyKind::Brrip {
+                        bits: 2,
+                        throttle: 32,
+                    },
+                    8,
+                    7,
+                );
                 let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));
                 (c, Arc::clone(f.duel()))
             }

@@ -215,12 +215,6 @@ impl CacheConfig {
         };
         ((tag << self.set_bits) + low) << self.line_shift
     }
-
-    /// The `i`-th distinct line address mapping to `set` (a convenient
-    /// generator for eviction sets).
-    pub fn nth_line_in_set(&self, set: usize, i: u64) -> u64 {
-        self.addr_of(i, set)
-    }
 }
 
 impl fmt::Display for CacheConfig {
@@ -306,18 +300,6 @@ mod tests {
             let a = base + i * cfg.way_size();
             assert_eq!(cfg.set_index(a), cfg.set_index(base));
             assert_eq!(cfg.tag(a), cfg.tag(base) + i);
-        }
-    }
-
-    #[test]
-    fn nth_line_in_set_generates_distinct_tags() {
-        let cfg = CacheConfig::new(24 * 1024, 6, 64).unwrap();
-        let set = 17;
-        let mut tags = std::collections::HashSet::new();
-        for i in 0..100 {
-            let a = cfg.nth_line_in_set(set, i);
-            assert_eq!(cfg.set_index(a), set);
-            assert!(tags.insert(cfg.tag(a)));
         }
     }
 

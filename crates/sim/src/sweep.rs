@@ -35,21 +35,6 @@ pub fn simulate(config: CacheConfig, policy: PolicyKind, trace: &[u64]) -> Cache
     cache.run_trace(trace.iter().copied())
 }
 
-/// Simulate `trace` with an optional warm-up prefix excluded from the
-/// reported statistics: the first `warmup` accesses run first and their
-/// hits/misses are discarded.
-pub fn simulate_warm(
-    config: CacheConfig,
-    policy: PolicyKind,
-    trace: &[u64],
-    warmup: usize,
-) -> CacheStats {
-    let mut cache = Cache::new(config, policy);
-    let split = warmup.min(trace.len());
-    cache.run_trace(trace[..split].iter().copied());
-    cache.run_trace(trace[split..].iter().copied())
-}
-
 /// Cross every policy with every geometry on one trace.
 pub fn sweep(configs: &[CacheConfig], policies: &[PolicyKind], trace: &[u64]) -> Vec<SweepCell> {
     let mut cells = Vec::with_capacity(configs.len() * policies.len());
@@ -87,20 +72,6 @@ pub fn capacity_series(
         cap *= 2;
     }
     Ok(configs)
-}
-
-/// Geometries with the given associativities at fixed capacity and line
-/// size. Associativities whose implied set count is not a power of two
-/// are skipped (they do not exist in hardware either).
-pub fn associativity_series(
-    capacity: u64,
-    associativities: &[usize],
-    line_size: u64,
-) -> Vec<CacheConfig> {
-    associativities
-        .iter()
-        .filter_map(|&a| CacheConfig::new(capacity, a, line_size).ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -145,24 +116,5 @@ mod tests {
         let s = capacity_series(1024, 8192, 2, 64).unwrap();
         let caps: Vec<u64> = s.iter().map(|c| c.capacity()).collect();
         assert_eq!(caps, vec![1024, 2048, 4096, 8192]);
-    }
-
-    #[test]
-    fn associativity_series_skips_impossible_geometries() {
-        // capacity 8 KiB, line 64: assoc 3 would give 42.67 sets -> skipped.
-        let s = associativity_series(8192, &[1, 2, 3, 4, 8], 64);
-        let assocs: Vec<usize> = s.iter().map(|c| c.associativity()).collect();
-        assert_eq!(assocs, vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn warmup_excludes_cold_misses() {
-        let cfg = CacheConfig::new(1024, 2, 64).unwrap();
-        let trace: Vec<u64> = (0..16).map(|i| (i % 4) * 64).collect();
-        let cold = simulate(cfg, PolicyKind::Lru, &trace);
-        let warm = simulate_warm(cfg, PolicyKind::Lru, &trace, 4);
-        assert_eq!(cold.misses, 4);
-        assert_eq!(warm.misses, 0);
-        assert_eq!(warm.accesses, 12);
     }
 }

@@ -283,16 +283,6 @@ fn gc_span(fields: usize, line: u64) -> u64 {
     1 + (fields as u64 * 8).div_ceil(line)
 }
 
-/// Uniform random accesses over `num_lines` blocks — the worst case for
-/// every policy, used as a control.
-pub fn uniform_random(num_lines: u64, accesses: usize, line: u64, seed: u64) -> Vec<u64> {
-    assert!(num_lines > 0, "need at least one line");
-    let mut rng = Prng::seed_from_u64(seed);
-    (0..accesses)
-        .map(|_| rng.gen_range(0..num_lines) * line)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,11 +389,5 @@ mod tests {
             "near fraction {near}/{}",
             t.len()
         );
-    }
-
-    #[test]
-    fn uniform_random_stays_in_range() {
-        let t = uniform_random(10, 1000, 64, 5);
-        assert!(t.iter().all(|&a| a < 10 * 64 && a % 64 == 0));
     }
 }

@@ -1,7 +1,7 @@
 //! Set-dueling policies (DIP, DRRIP): the adaptive mechanisms must track
 //! the better of their two component policies per workload.
 
-use cachekit::policies::{DipFamily, DrripFamily, PolicyKind};
+use cachekit::policies::{DuelFamily, PolicyKind};
 use cachekit::sim::{sweep, Cache, CacheConfig, CacheStats};
 use cachekit::trace::workloads;
 
@@ -13,13 +13,17 @@ fn config() -> CacheConfig {
 }
 
 fn run_dip(trace: &[u64]) -> CacheStats {
-    let family = DipFamily::new(8, 32, 0xD1B);
+    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 0xD1B);
     let mut cache = Cache::with_policy_factory(config(), "DIP", |set| family.policy_for_set(set));
     cache.run_trace(trace.iter().copied())
 }
 
 fn run_drrip(trace: &[u64]) -> CacheStats {
-    let family = DrripFamily::new(8, 2, 32, 0xD2B);
+    let brrip = PolicyKind::Brrip {
+        bits: 2,
+        throttle: 32,
+    };
+    let family = DuelFamily::new(brrip, 8, 0xD2B);
     let mut cache = Cache::with_policy_factory(config(), "DRRIP", |set| family.policy_for_set(set));
     cache.run_trace(trace.iter().copied())
 }
@@ -88,7 +92,7 @@ fn drrip_is_never_far_from_the_better_component() {
 #[test]
 fn dip_psel_moves_in_the_expected_direction() {
     // A thrashing trace drives PSEL positive (LRU leaders missing).
-    let family = DipFamily::new(8, 32, 1);
+    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 1);
     let mut cache = Cache::with_policy_factory(config(), "DIP", |set| family.policy_for_set(set));
     cache.run_trace(workload("thrash_loop").iter().copied().take(50_000));
     assert!(

@@ -6,7 +6,7 @@
 //!
 //! | subject | kinds × ways | test |
 //! |---------|--------------|------|
-//! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind`, the age-counter kinds a test-local reference | 13 differential kinds and QLRU-1 × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
+//! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind`, the age-counter and bimodal kinds test-local references | 13 differential kinds and QLRU-1 × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
 //! | `CacheSet` over `TablePolicy` | every pair whose eager table compiles; a must-compile list | `table_engine_is_bit_identical_where_it_compiles` |
 //! | `CacheSet` over `LazyTablePolicy` | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_for_every_deterministic_kind` |
 //! | the same, with invalidations interleaved | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_under_invalidation` |
@@ -16,21 +16,26 @@
 //! | `CacheSet` over `TablePolicy` compiled by `PermTable::from_spec`, against the spec interpreter | catalog specs × 4/8 | `catalog_specs_round_trip_through_compiled_tables` |
 //! | the enum engine against a pinned digest | LRU, FIFO, LIP, LazyLRU, every SLRU-k × 1–64 | `stack_kinds_replay_the_pinned_event_stream` |
 //! | the enum engine against a pinned digest | NRU, SRRIP-1…7, QLRU-0…3, BitPLRU, CLOCK, BRRIP-2-1/32 × 1–128 | `age_and_bit_kinds_replay_the_pinned_event_stream` |
+//! | the enum engine against a pinned digest | BIP-1/t, BRRIP-k-1/t for t ∈ {1, 2, 32}, k ∈ {1, 2, 3, 7} × 1–128, salts 0 and 5 | `bimodal_kinds_replay_the_pinned_event_stream` |
+//! | `Cache`s of `DuelFamily` sets against a pinned digest | DIP-1/32, DIP-1/2, DRRIP (2 bits, 1/32), DRRIP (3 bits, 1/4) × 4/8/16 | `duels_replay_the_pinned_access_stream` |
 //!
 //! The boxed engine is a faithful local replica of the pre-refactor
 //! cache set (array-of-`Option` tags driving policies behind
-//! `Box<dyn ReplacementPolicy>`). Two groups of kinds run there on
+//! `Box<dyn ReplacementPolicy>`). Three groups of kinds run there on
 //! independent implementations: the five recency-stack kinds as the
 //! permutation-spec interpreter, which shares no step code with the enum
-//! engine's `RecencyPolicy`, and NRU, SRRIP-2 and QLRU-1 as the
-//! test-local `ReferenceAges`, which shares none with `AgePolicy`. The
-//! other kinds run their concrete policies boxed, which checks dispatch
-//! and the set, not the policy. The enum engine itself passes the policy
-//! conformance battery and, for deterministic kinds, state-key
-//! soundness. The recency-stack kinds and the catalog are pinned to
-//! digests computed before those kinds were merged into one policy, the
-//! age-counter and bit-vector kinds to one computed before the age
-//! kinds were merged, and the set layout to its stated size.
+//! engine's `RecencyPolicy`; NRU, SRRIP-2 and QLRU-1 as the test-local
+//! `ReferenceAges`, which shares none with `AgePolicy`; and BIP and
+//! BRRIP as the test-local `ReferenceBimodal` over those two, which
+//! shares none with `Bimodal`. The other kinds run their concrete
+//! policies boxed, which checks dispatch and the set, not the policy.
+//! The enum engine itself passes the policy conformance battery and,
+//! for deterministic kinds, state-key soundness. The recency-stack kinds
+//! and the catalog are pinned to digests computed before those kinds
+//! were merged into one policy, the age-counter and bit-vector kinds to
+//! one computed before the age kinds were merged, the bimodal kinds and
+//! the DIP and DRRIP duels to two computed before the bimodal kinds
+//! were merged, and the set layout to its stated size.
 
 use cachekit::core::perm::{
     catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTablePolicy, PermTable,
@@ -40,9 +45,10 @@ use cachekit::policies::conformance::{assert_conformance, assert_state_key_sound
 use cachekit::policies::kernel::KernelCache;
 use cachekit::policies::rng::{mix64, Prng};
 use cachekit::policies::{
-    Bip, BitPlru, Brrip, Clock, PolicyKind, PolicyState, RandomPolicy, ReplacementPolicy, TreePlru,
+    BitPlru, Clock, DuelFamily, DuelState, PolicyKind, PolicyState, RandomPolicy,
+    ReplacementPolicy, TreePlru,
 };
-use cachekit::sim::{AccessOutcome, CacheSet};
+use cachekit::sim::{AccessOutcome, Cache, CacheConfig, CacheSet};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -158,10 +164,100 @@ impl ReplacementPolicy for ReferenceAges {
     }
 }
 
+/// A test-local bimodal policy sharing no step code with the library's
+/// `Bimodal`: a boxed base policy, and one `gen_ratio(1, throttle)` draw
+/// per fill that picks the base's fill, or else the base's invalidation
+/// step (a line inserted where the base evicts next).
+#[derive(Debug, Clone)]
+struct ReferenceBimodal {
+    base: Box<dyn ReplacementPolicy>,
+    throttle: u32,
+    rng: Prng,
+    seed: u64,
+}
+
+impl ReferenceBimodal {
+    /// BIP-1/t runs LRU as the spec interpreter and BRRIP-k-1/t runs
+    /// [`ReferenceAges`] for SRRIP-k, each seeded as `build_state` seeds
+    /// the kind.
+    fn new(kind: PolicyKind, assoc: usize, salt: u64) -> Self {
+        let (base, throttle, seed): (Box<dyn ReplacementPolicy>, _, _) = match kind {
+            PolicyKind::Bip { throttle } => (
+                Box::new(PermutationPolicy::new(
+                    PermutationSpec::for_kind(PolicyKind::Lru, assoc).expect("LRU is a stack"),
+                )),
+                throttle,
+                mix64(0xb1b0, salt),
+            ),
+            PolicyKind::Brrip { bits, throttle } => (
+                Box::new(ReferenceAges::new(PolicyKind::Srrip { bits }, assoc)),
+                throttle,
+                mix64(0xbbb1, salt),
+            ),
+            _ => unreachable!("{kind:?} is not a bimodal kind"),
+        };
+        Self {
+            base,
+            throttle,
+            rng: Prng::seed_from_u64(seed),
+            seed,
+        }
+    }
+}
+
+impl ReplacementPolicy for ReferenceBimodal {
+    fn associativity(&self) -> usize {
+        self.base.associativity()
+    }
+
+    fn name(&self) -> String {
+        "reference bimodal".to_owned()
+    }
+
+    fn on_hit(&mut self, way: usize) {
+        self.base.on_hit(way);
+    }
+
+    fn victim(&mut self) -> usize {
+        self.base.victim()
+    }
+
+    fn on_fill(&mut self, way: usize) {
+        let fills_as_base = self.rng.gen_ratio(1, self.throttle);
+        if fills_as_base {
+            self.base.on_fill(way);
+        } else {
+            self.base.on_invalidate(way);
+        }
+    }
+
+    fn on_invalidate(&mut self, way: usize) {
+        self.base.on_invalidate(way);
+    }
+
+    fn reset(&mut self) {
+        self.base.reset();
+        self.rng = Prng::seed_from_u64(self.seed);
+    }
+
+    fn is_deterministic(&self) -> bool {
+        false
+    }
+
+    fn state_key(&self) -> Vec<u8> {
+        self.base.state_key()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+}
+
 /// The boxed policy the replica runs, with the per-set seed derivation
 /// [`PolicyKind::build_state`] applies: the spec interpreter for the
-/// recency-stack kinds, [`ReferenceAges`] for the age-counter kinds, and
-/// the concrete policy for every other kind.
+/// recency-stack kinds, [`ReferenceAges`] for the age-counter kinds,
+/// [`ReferenceBimodal`] for the bimodal kinds, and the concrete policy
+/// for every other kind.
 fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn ReplacementPolicy> {
     match kind {
         PolicyKind::Lru
@@ -174,13 +270,12 @@ fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn Replacemen
         PolicyKind::Nru | PolicyKind::Srrip { .. } | PolicyKind::Qlru { .. } => {
             Box::new(ReferenceAges::new(kind, assoc))
         }
+        PolicyKind::Bip { .. } | PolicyKind::Brrip { .. } => {
+            Box::new(ReferenceBimodal::new(kind, assoc, salt))
+        }
         PolicyKind::TreePlru => Box::new(TreePlru::new(assoc)),
         PolicyKind::BitPlru => Box::new(BitPlru::new(assoc)),
         PolicyKind::Clock => Box::new(Clock::new(assoc)),
-        PolicyKind::Bip { throttle } => Box::new(Bip::new(assoc, throttle, mix64(0xb1b0, salt))),
-        PolicyKind::Brrip { bits, throttle } => {
-            Box::new(Brrip::new(assoc, bits, throttle, mix64(0xbbb1, salt)))
-        }
         PolicyKind::Random { seed } => Box::new(RandomPolicy::new(assoc, mix64(seed, salt))),
     }
 }
@@ -687,6 +782,136 @@ fn age_and_bit_kinds_replay_the_pinned_event_stream() {
         hash, 0x3865_0ab6_288f_497c,
         "age/bit-kind digest {hash:#018x}"
     );
+}
+
+/// BIP-1/t and BRRIP-k-1/t at every throttle and RRPV width the
+/// bimodal pin covers.
+fn bimodal_kinds() -> Vec<PolicyKind> {
+    let mut kinds = Vec::new();
+    for throttle in [1u32, 2, 32] {
+        kinds.push(PolicyKind::Bip { throttle });
+        kinds.extend([1u8, 2, 3, 7].map(|bits| PolicyKind::Brrip { bits, throttle }));
+    }
+    kinds
+}
+
+#[test]
+fn bimodal_kinds_replay_the_pinned_event_stream() {
+    // Each kind at 1–128 ways and two per-set salts, driven through a
+    // seeded mix of every policy event. The digest folds each kind's
+    // name, every victim and the state key after every event, so a
+    // change to an insertion draw, to the base policy a kind runs or to
+    // its seed moves it.
+    let mut hash = FNV_OFFSET;
+    for assoc in [1usize, 2, 3, 4, 6, 8, 16, 24, 32, 64, 128] {
+        for salt in [0u64, 5] {
+            for (i, kind) in bimodal_kinds().into_iter().enumerate() {
+                let mut policy = kind.build_state(assoc, salt);
+                hash = fnv(hash, policy.name().as_bytes());
+                let mut rng =
+                    Prng::seed_from_u64(mix64(0xB1B0 ^ assoc as u64, salt << 8 | i as u64));
+                for _ in 0..600 {
+                    let way = rng.gen_range(0..assoc);
+                    match rng.gen_range(0..100u32) {
+                        0..=34 => policy.on_hit(way),
+                        35..=54 => policy.on_fill(way),
+                        55..=84 => {
+                            let victim = policy.victim();
+                            hash = fnv(hash, &(victim as u64).to_le_bytes());
+                            policy.on_fill(victim);
+                        }
+                        85..=97 => policy.on_invalidate(way),
+                        _ => policy.reset(),
+                    }
+                    hash = fnv(hash, &policy.state_key());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        hash, 0x528f_2d63_f400_f3aa,
+        "bimodal-kind digest {hash:#018x}"
+    );
+}
+
+/// A DIP-1/`throttle` cache: every set a member of one family, sharing
+/// its PSEL, which is returned beside the cache.
+fn dip_cache(config: CacheConfig, throttle: u32) -> (Cache, Arc<DuelState>) {
+    let family = DuelFamily::new(PolicyKind::Bip { throttle }, config.associativity(), 0xD1B);
+    let duel = Arc::clone(family.duel());
+    let cache = Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set));
+    (cache, duel)
+}
+
+/// A DRRIP cache over `bits`-wide RRPVs and BRRIP throttle `throttle`,
+/// as [`dip_cache`] builds DIP.
+fn drrip_cache(config: CacheConfig, bits: u8, throttle: u32) -> (Cache, Arc<DuelState>) {
+    let brrip = PolicyKind::Brrip { bits, throttle };
+    let family = DuelFamily::new(brrip, config.associativity(), 0xD2B);
+    let duel = Arc::clone(family.duel());
+    let cache = Cache::with_policy_factory(config, "DRRIP", move |set| family.policy_for_set(set));
+    (cache, duel)
+}
+
+#[test]
+fn duels_replay_the_pinned_access_stream() {
+    // Scans of fresh lines over three times the capacity, which thrash
+    // the baseline component, alternate with loops over half the
+    // capacity, which its bimodal one is slow to take in; so leader
+    // sets move PSEL both ways (at 4 ways across zero, so followers
+    // switch sides). The digest
+    // folds every outcome, evicted line, write-back and PSEL value, and
+    // the final statistics.
+    let mut hash = FNV_OFFSET;
+    for (assoc, sets) in [(4usize, 64u64), (8, 128), (16, 64)] {
+        let config = CacheConfig::new(sets * assoc as u64 * 64, assoc, 64).expect("valid");
+        let lines = sets * assoc as u64;
+        let duels = [
+            dip_cache(config, 32),
+            dip_cache(config, 2),
+            drrip_cache(config, 2, 32),
+            drrip_cache(config, 3, 4),
+        ];
+        for (i, (mut cache, duel)) in duels.into_iter().enumerate() {
+            let mut rng = Prng::seed_from_u64(mix64(0xD0E1 ^ assoc as u64, i as u64));
+            let phase_len = 3 * lines;
+            for step in 0..40_000u64 {
+                let (phase, offset) = (step / phase_len, step % phase_len);
+                let line = if phase.is_multiple_of(2) {
+                    lines * (1 + 3 * phase) + offset
+                } else {
+                    offset % (lines / 2)
+                };
+                let (outcome, writeback) = cache.access_op(line * 64, rng.gen_bool(0.1));
+                match outcome {
+                    AccessOutcome::Hit => hash = fnv(hash, &[0]),
+                    AccessOutcome::Miss { evicted: None } => hash = fnv(hash, &[1]),
+                    AccessOutcome::Miss {
+                        evicted: Some(addr),
+                    } => {
+                        hash = fnv(hash, &[2]);
+                        hash = fnv(hash, &addr.to_le_bytes());
+                    }
+                }
+                if let Some(addr) = writeback {
+                    hash = fnv(hash, &addr.to_le_bytes());
+                }
+                hash = fnv(hash, &duel.psel().to_le_bytes());
+            }
+            let stats = cache.stats();
+            for count in [
+                stats.accesses,
+                stats.hits,
+                stats.misses,
+                stats.evictions,
+                stats.writes,
+                stats.writebacks,
+            ] {
+                hash = fnv(hash, &count.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(hash, 0xa582_0a17_5ad2_a055, "duel digest {hash:#018x}");
 }
 
 #[test]

@@ -262,6 +262,28 @@ fn group_testing_reduces_candidate_supersets() {
     }
 }
 
+/// Candidates that also hold lines of another set reduce to exactly the
+/// congruent lines. Here every pair of neighbouring candidates holds a
+/// congruent line, so a split into fixed-size pairs finds no part to
+/// drop; the split into `assoc + 1` parts always leaves one.
+#[test]
+fn group_testing_drops_lines_of_other_sets() {
+    for kind in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::TreePlru] {
+        for assoc in [4usize, 8] {
+            let congruent: Vec<u64> = (1..=assoc as u64).map(|i| i * STRIDE).collect();
+            // Two lines of set 1: one after the first congruent line,
+            // one at the end.
+            let mut candidates = congruent.clone();
+            candidates.insert(1, STRIDE + 64);
+            candidates.push(2 * STRIDE + 64);
+            let mut oracle = oracle_for(kind, assoc);
+            let reduced = reduce_candidates(&mut oracle, 0, &candidates, assoc)
+                .unwrap_or_else(|e| panic!("{} A={assoc}: {e}", kind.label()));
+            assert_eq!(reduced, congruent, "{} A={assoc}", kind.label());
+        }
+    }
+}
+
 /// The reduction's honest limit: LIP inserts at the LRU position, so a
 /// once-each candidate sweep never displaces an established target and
 /// the reduction reports failure instead of looping or guessing.

@@ -20,7 +20,7 @@
 //! hierarchies under every containment.
 
 use cachekit::policies::rng::Prng;
-use cachekit::policies::{DipFamily, DuelState, PolicyKind};
+use cachekit::policies::{DuelFamily, DuelState, PolicyKind};
 use cachekit::sim::{Cache, CacheConfig, Containment, Hierarchy, HierarchyOutcome, LevelSpec};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -426,7 +426,7 @@ fn flush_twins() -> Vec<FlushTwin> {
             });
         }
         let dip = || {
-            let family = DipFamily::new(assoc, 32, 0xD1B);
+            let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, assoc, 0xD1B);
             let duel = Arc::clone(family.duel());
             let cache =
                 Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set));
