@@ -202,6 +202,20 @@ for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
     fi
 done
 
+# Traced sim_cold round: `--trace 1` replays the round through
+# perfbench's copy of the serve path and fails the run when a served
+# `engine` or `kernel` label differs from the replay's, or when the
+# `KernelCache` ceiling disagrees with the served hit counts. So a
+# change that moves an engine pick or a kernel's behaviour fails here
+# until the replay follows it.
+echo "==> perfbench --workload sim_cold --seed 1 --seconds 1 --trace 1"
+out=$(./.bench_build/release/cachekit-perfbench --workload sim_cold --seed 1 --seconds 1 --trace 1)
+last=$(tail -n 1 <<<"$out")
+if [[ "$last" != *'"correct": true,'* || "$last" != *'"failed": 0,'* ]]; then
+    echo "ci: traced perfbench sim_cold reports failures: $last" >&2
+    exit 1
+fi
+
 # Offline build of the umbrella package specifically (regression guard
 # for the seed's original failure: manifests referencing crates.io).
 run cargo build --release -p cachekit --offline

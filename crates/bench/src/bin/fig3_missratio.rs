@@ -15,7 +15,7 @@ fn adaptive_miss_ratio(config: CacheConfig, which: &str, trace: &[u64]) -> f64 {
     let mut cache = match which {
         "DIP" => {
             let bip = PolicyKind::Bip { throttle: 32 };
-            let family = DuelFamily::new(bip, config.associativity(), 0xD1B);
+            let family = DuelFamily::new(bip, config.associativity(), config.num_sets(), 0xD1B);
             Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set))
         }
         _ => {
@@ -23,7 +23,7 @@ fn adaptive_miss_ratio(config: CacheConfig, which: &str, trace: &[u64]) -> f64 {
                 bits: 2,
                 throttle: 32,
             };
-            let family = DuelFamily::new(brrip, config.associativity(), 0xD2B);
+            let family = DuelFamily::new(brrip, config.associativity(), config.num_sets(), 0xD2B);
             Cache::with_policy_factory(config, "DRRIP", move |set| family.policy_for_set(set))
         }
     };

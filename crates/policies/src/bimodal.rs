@@ -66,16 +66,14 @@ enum Role {
     Follower,
 }
 
-/// Leader assignment: every `LEADER_PERIOD`-th set leads for the base,
-/// and every `LEADER_PERIOD`-th offset by half the period for the
+/// Leader assignment: in every `period` consecutive sets the first
+/// leads for the base and the one half a period on leads for the
 /// bimodal side (the "static simple" dueling layout).
-fn role_of(set: u64) -> Role {
-    if set.is_multiple_of(LEADER_PERIOD) {
-        Role::BaselineLeader
-    } else if set % LEADER_PERIOD == LEADER_PERIOD / 2 {
-        Role::BimodalLeader
-    } else {
-        Role::Follower
+fn role_of(set: u64, period: u64) -> Role {
+    match set % period {
+        0 => Role::BaselineLeader,
+        offset if offset == period / 2 => Role::BimodalLeader,
+        _ => Role::Follower,
     }
 }
 
@@ -231,7 +229,7 @@ impl ReplacementPolicy for Bimodal {
 /// ```
 /// use cachekit_policies::{DuelFamily, PolicyKind, ReplacementPolicy};
 ///
-/// let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 4, 0x5eed);
+/// let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 4, 64, 0x5eed);
 /// let set0 = family.policy_for_set(0); // LRU leader
 /// let _set16 = family.policy_for_set(16); // BIP leader
 /// let _set3 = family.policy_for_set(3); // follower
@@ -241,19 +239,28 @@ impl ReplacementPolicy for Bimodal {
 pub struct DuelFamily {
     kind: PolicyKind,
     assoc: usize,
+    /// Sets per leader pair: `LEADER_PERIOD`, or the set count of a
+    /// smaller cache.
+    period: u64,
     seed: u64,
     duel: Arc<DuelState>,
 }
 
 impl DuelFamily {
-    /// A duel between the bimodal `kind` and its base for `assoc`-way
-    /// sets; set `s` seeds its RNG with `seed ^ s·0x9e37`.
+    /// A duel between the bimodal `kind` and its base for a cache of
+    /// `sets` sets of `assoc` ways; set `s` seeds its RNG with
+    /// `seed ^ s·0x9e37`.
+    ///
+    /// In a cache of 32 sets or more, set 0 of every 32 leads for the
+    /// base and set 16 for the bimodal side. A smaller cache gets one
+    /// leader of each: set 0 and set `sets / 2`.
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is not a bimodal kind or
-    /// [`PolicyKind::validate_for_assoc`] refuses it at `assoc` ways.
-    pub fn new(kind: PolicyKind, assoc: usize, seed: u64) -> Self {
+    /// Panics if `kind` is not a bimodal kind, if
+    /// [`PolicyKind::validate_for_assoc`] refuses it at `assoc` ways, or
+    /// if `sets` is under 2, too few for a leader of each side.
+    pub fn new(kind: PolicyKind, assoc: usize, sets: u64, seed: u64) -> Self {
         if let Err(reason) = kind.validate_for_assoc(assoc) {
             panic!("{reason}");
         }
@@ -261,9 +268,14 @@ impl DuelFamily {
             kind.bimodal_rule().is_some(),
             "{kind:?} is not a bimodal kind"
         );
+        assert!(
+            sets >= 2,
+            "a duel needs at least 2 sets, one leader for each side; got {sets}"
+        );
         Self {
             kind,
             assoc,
+            period: sets.min(LEADER_PERIOD),
             seed,
             duel: Arc::new(DuelState {
                 psel: AtomicI32::new(0),
@@ -282,7 +294,7 @@ impl DuelFamily {
             self.kind,
             self.assoc,
             self.seed ^ set.wrapping_mul(0x9e37),
-            Some((role_of(set), Arc::clone(&self.duel))),
+            Some((role_of(set, self.period), Arc::clone(&self.duel))),
         ))
     }
 }
@@ -390,7 +402,7 @@ mod tests {
 
     #[test]
     fn leaders_vote_followers_follow() {
-        let family = DuelFamily::new(bip(32), 4, 7);
+        let family = DuelFamily::new(bip(32), 4, 64, 7);
         let mut lru_leader = family.policy_for_set(0);
         let mut bip_leader = family.policy_for_set(16);
         let mut follower = family.policy_for_set(3);
@@ -430,7 +442,7 @@ mod tests {
 
     #[test]
     fn psel_saturates() {
-        let family = DuelFamily::new(bip(2), 2, 0);
+        let family = DuelFamily::new(bip(2), 2, 64, 0);
         let mut leader = family.policy_for_set(0);
         for _ in 0..2000 {
             let v = leader.victim();
@@ -441,28 +453,33 @@ mod tests {
 
     #[test]
     fn roles_partition_the_sets() {
-        let mut leaders_a = 0;
-        let mut leaders_b = 0;
-        let mut followers = 0;
-        for set in 0..1024u64 {
-            match role_of(set) {
-                Role::BaselineLeader => leaders_a += 1,
-                Role::BimodalLeader => leaders_b += 1,
-                Role::Follower => followers += 1,
-            }
+        // 1,024 sets lead one of each kind per 32; a cache under 32 sets
+        // leads once for each side, at sets 0 and sets / 2.
+        for (sets, leaders) in [(1024u64, 32), (32, 1), (16, 1), (2, 1)] {
+            let family = DuelFamily::new(bip(32), 4, sets, 0);
+            let roles: Vec<Role> = (0..sets).map(|set| role_of(set, family.period)).collect();
+            let count = |role| roles.iter().filter(|&&r| r == role).count();
+            assert_eq!(count(Role::BaselineLeader), leaders, "{sets} sets");
+            assert_eq!(count(Role::BimodalLeader), leaders, "{sets} sets");
+            assert_eq!(count(Role::Follower), sets as usize - 2 * leaders);
+            assert_eq!(roles[0], Role::BaselineLeader);
+            assert_eq!(roles[sets.min(32) as usize / 2], Role::BimodalLeader);
         }
-        assert_eq!(leaders_a, 32);
-        assert_eq!(leaders_b, 32);
-        assert_eq!(followers, 1024 - 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 sets")]
+    fn a_duel_of_one_set_is_refused() {
+        let _ = DuelFamily::new(bip(32), 4, 1, 0);
     }
 
     #[test]
     fn dip_conforms_to_the_policy_contract() {
-        let family = DuelFamily::new(bip(32), 4, 9);
+        let family = DuelFamily::new(bip(32), 4, 64, 9);
         for set in [0u64, 3, 16] {
             cachekit_policies_conformance(family.policy_for_set(set));
         }
-        let drrip = DuelFamily::new(brrip(2, 32), 4, 9);
+        let drrip = DuelFamily::new(brrip(2, 32), 4, 64, 9);
         for set in [0u64, 3, 16] {
             cachekit_policies_conformance(drrip.policy_for_set(set));
         }
@@ -488,7 +505,7 @@ mod tests {
 
     #[test]
     fn drrip_leader_votes() {
-        let family = DuelFamily::new(brrip(2, 32), 4, 1);
+        let family = DuelFamily::new(brrip(2, 32), 4, 64, 1);
         let mut leader = family.policy_for_set(0);
         for w in 0..4 {
             leader.on_fill(w);

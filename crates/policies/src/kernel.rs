@@ -1,12 +1,10 @@
 //! Monomorphized per-(policy, associativity) batch access kernels.
 //!
-//! The engines in `docs/engine.md` dispatch a policy event at a time:
-//! the enum engine `match`es per event, the compiled-table engine chases
-//! one `u16` per event. This module goes one step further for the four
-//! policies whose whole replacement state fits in a single machine word
-//! — LRU, FIFO, tree-PLRU and NRU at 4/8/16 ways — and compiles a
-//! **batch access loop per (policy, associativity) pair**, selected once
-//! at dispatch time:
+//! The enum engine in `docs/engine.md` dispatches one policy event at a
+//! time. For the four policies whose whole replacement state fits in a
+//! single machine word — LRU, FIFO, tree-PLRU and NRU at 4/8/16 ways —
+//! this module compiles a **batch access loop per (policy,
+//! associativity) pair**, selected once per batch:
 //!
 //! * the replacement state is one SWAR word (`u32`/`u64`/`u128` recency
 //!   stack for LRU/FIFO, a bit word for PLRU/NRU), so a policy update is
@@ -35,11 +33,13 @@
 //!   at 8 ways keeps one `u8` per set, so 16 K sets of tree state fit
 //!   in 16 KiB of L1) via the [`TreeWord`] trait.
 //!
-//! [`KernelCache`] is the many-set engine the throughput benchmark
-//! times as the inner-loop ceiling; [`run_set_stream`] is the
-//! single-set entry point through which `cachekit-sim`'s
-//! `Cache::access_many` runs each set. Both are bit-identical to the
-//! enum engine — `tests/engine_differential.rs` pins kernel ≡ enum.
+//! [`KernelCache`] runs every kernel batch. `cachekit-sim`'s
+//! `Cache::access_many` loads its sets into one with
+//! [`KernelCache::load_set`], runs the batch through
+//! [`KernelCache::access_many`] and stores the sets back with
+//! [`KernelCache::store_set`]; the throughput benchmark times the same
+//! loop as the inner-loop ceiling. It is bit-identical to the enum
+//! engine — `tests/engine_differential.rs` pins kernel ≡ enum.
 
 use crate::tree_plru::shape_for;
 use crate::{PolicyKind, PolicyState, ReplacementPolicy};
@@ -62,7 +62,10 @@ pub trait StackWord: Copy + Debug + Eq + Send + Sync + 'static {
     fn to_stack(self, bytes: &mut [u8]);
     /// Move the byte equal to `way` to position 0, shifting the bytes
     /// before it up — the LRU "promote to MRU" permutation, done with
-    /// the SWAR zero-byte locate + prefix shift.
+    /// the SWAR zero-byte locate + prefix shift. Only the lowest byte
+    /// equal to `way` moves, so a stack shorter than the word promotes
+    /// correctly when zero-padded above its last byte (the enum
+    /// engine's `RecencyStack::most_recent` relies on this).
     fn promote(self, way: u32) -> Self;
     /// Fused full-set LRU step: promote the byte equal to `slot` when
     /// present, else rotate (a planted top-byte flag turns the absent
@@ -200,15 +203,32 @@ pub trait LaneKernel: Clone + Send + Sync + 'static {
 
     /// One access step given the probe's match mask: pick the touched
     /// way, update the word and fill count, return `(way, hit)`. The
-    /// reference composition of `hit`/`fill`/`victim`, used while a set
-    /// is still warming up.
+    /// reference composition of `hit`/`fill`/`victim`, branching per
+    /// event, which each kernel's branchless
+    /// [`step_full`](Self::step_full) must match bit-for-bit; used while
+    /// a set is still warming up, where the fill-count branch is
+    /// perfectly predicted anyway.
     #[inline(always)]
     fn step(&self, w: &mut Self::Word, m: u32, filled: &mut u8) -> (u32, bool) {
-        branchy_step(self, w, m, filled)
+        if m != 0 {
+            let way = m.trailing_zeros();
+            self.hit(w, way);
+            (way, true)
+        } else {
+            let way = if (*filled as usize) < Self::ASSOC {
+                let f = *filled;
+                *filled = f + 1;
+                f as u32
+            } else {
+                self.victim(w)
+            };
+            self.fill(w, way);
+            (way, false)
+        }
     }
 
     /// The same step for a **full** set — no fill counter to consult —
-    /// which the kernels override **branchlessly**. Instead of a match
+    /// which each kernel writes **branchlessly**. Instead of a match
     /// mask it takes the probe's `slot`: the matching way for a hit,
     /// `ASSOC` for a miss (i.e. `m.trailing_zeros().min(ASSOC)`). The
     /// slot encoding lets the probe reduce its vector compare with an
@@ -218,80 +238,41 @@ pub trait LaneKernel: Clone + Send + Sync + 'static {
     /// (a mixed workload mispredicts it constantly, and every flush
     /// discards the speculative slab loads of the *next* accesses —
     /// serializing what is otherwise a memory-parallel loop), so the
-    /// overrides select the way and the updated word with broadcast
+    /// kernels select the way and the updated word with broadcast
     /// masks instead of branching. Must be bit-identical to `step` at
     /// `filled == ASSOC`.
-    #[inline(always)]
-    fn step_full(&self, w: &mut Self::Word, slot: u32) -> (u32, bool) {
-        if slot < Self::ASSOC as u32 {
-            self.hit(w, slot);
-            (slot, true)
-        } else {
-            let way = self.victim(w);
-            self.fill(w, way);
-            (way, false)
-        }
-    }
+    fn step_full(&self, w: &mut Self::Word, slot: u32) -> (u32, bool);
 }
 
-/// The reference access step: the branch-per-event composition of
-/// `hit`/`fill`/`victim` that the branchless overrides must match
-/// bit-for-bit. Also the shared fallback for warming (not-yet-full)
-/// sets, where the fill-count branch is perfectly predicted anyway.
-#[inline(always)]
-fn branchy_step<K: LaneKernel>(kern: &K, w: &mut K::Word, m: u32, filled: &mut u8) -> (u32, bool) {
-    if m != 0 {
-        let way = m.trailing_zeros();
-        kern.hit(w, way);
-        (way, true)
-    } else {
-        let way = if (*filled as usize) < K::ASSOC {
-            let f = *filled;
-            *filled = f + 1;
-            f as u32
-        } else {
-            kern.victim(w)
-        };
-        kern.fill(w, way);
-        (way, false)
-    }
-}
-
-/// Pack the stack of a recency-stack state that runs `kind`'s rule at
-/// `A` ways; `None` for any other state.
-fn pack_stack<W: StackWord, const A: usize>(state: &PolicyState, kind: PolicyKind) -> Option<W> {
-    match state {
-        PolicyState::Recency(r)
-            if r.associativity() == A && kind.recency_rule(A) == Some(r.rule()) =>
-        {
-            Some(W::from_stack(r.stack().as_slice()))
-        }
-        _ => None,
-    }
-}
-
-/// Write a stack word back into the recency-stack state it was packed
-/// from.
-fn unpack_stack<W: StackWord>(w: W, state: &mut PolicyState) {
-    if let PolicyState::Recency(r) = state {
-        w.to_stack(r.stack_mut().as_mut_slice());
-    }
-}
-
-/// LRU over a SWAR recency-stack word: hits and fills promote to MRU,
-/// the victim is the top (LRU) byte.
+/// LRU or FIFO over a SWAR recency-stack word: the two recency rules
+/// whose fill moves the way to the front. `PROMOTE` picks the hit step
+/// of the rule — LRU's hits promote from position 0, FIFO's never
+/// promote — and the fill, victim (the bottom byte), cold state, pack
+/// and unpack are the same for both.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LruKern<W, const A: usize>(PhantomData<W>);
+pub struct RecencyKern<W, const A: usize, const PROMOTE: bool>(PhantomData<W>);
 
-impl<W: StackWord, const A: usize> LaneKernel for LruKern<W, A> {
+impl<W, const A: usize, const PROMOTE: bool> RecencyKern<W, A, PROMOTE> {
+    /// The kind whose recency rule this kernel runs.
+    const KIND: PolicyKind = if PROMOTE {
+        PolicyKind::Lru
+    } else {
+        PolicyKind::Fifo
+    };
+}
+
+impl<W: StackWord, const A: usize, const PROMOTE: bool> LaneKernel for RecencyKern<W, A, PROMOTE> {
     const ASSOC: usize = A;
     type Word = W;
 
     fn label() -> &'static str {
-        match A {
-            4 => "lru4/swar32",
-            8 => "lru8/swar64",
-            _ => "lru16/swar128",
+        match (PROMOTE, A) {
+            (true, 4) => "lru4/swar32",
+            (true, 8) => "lru8/swar64",
+            (true, _) => "lru16/swar128",
+            (false, 4) => "fifo4/swar32",
+            (false, 8) => "fifo8/swar64",
+            (false, _) => "fifo16/swar128",
         }
     }
 
@@ -305,7 +286,9 @@ impl<W: StackWord, const A: usize> LaneKernel for LruKern<W, A> {
 
     #[inline(always)]
     fn hit(&self, w: &mut W, way: u32) {
-        *w = w.promote(way);
+        if PROMOTE {
+            *w = w.promote(way);
+        }
     }
 
     #[inline(always)]
@@ -318,87 +301,43 @@ impl<W: StackWord, const A: usize> LaneKernel for LruKern<W, A> {
         w.byte_at(A - 1)
     }
 
+    // Packs a recency-stack state that runs this kernel's rule at `A`
+    // ways.
     fn pack(&self, state: &PolicyState) -> Option<W> {
-        pack_stack::<W, A>(state, PolicyKind::Lru)
+        match state {
+            PolicyState::Recency(r)
+                if r.associativity() == A && Self::KIND.recency_rule(A) == Some(r.rule()) =>
+            {
+                Some(W::from_stack(r.stack().as_slice()))
+            }
+            _ => None,
+        }
     }
 
     fn unpack(&self, w: W, state: &mut PolicyState) {
-        unpack_stack(w, state);
+        if let PolicyState::Recency(r) = state {
+            w.to_stack(r.stack_mut().as_mut_slice());
+        }
     }
 
-    // Branchless, one pass over the word: `promote_or_rotate` handles
-    // hit (promote the matched byte) and miss (the sentinel slot `A`
+    // Branchless, one pass over the word; the victim way is computed
+    // off-word in parallel. LRU's `promote_or_rotate` handles hit
+    // (promote the matched byte) and miss (the sentinel slot `A`
     // matches no byte, so the planted tail flag turns the blend into
-    // the rotate) in a single SWAR sequence — no two-way select on
-    // the word, which was the longest link in the step's dependency
-    // chain. The victim way is computed off-word in parallel.
+    // the rotate) in a single SWAR sequence — no two-way select on the
+    // word, which was the longest link in the step's dependency chain.
+    // FIFO's hits leave the word alone and its fill promotes the tail
+    // byte, a plain rotate, so a mask blend picks the word.
     #[inline(always)]
     fn step_full(&self, w: &mut W, slot: u32) -> (u32, bool) {
         let hit = slot < A as u32;
         let mask = (hit as u32).wrapping_neg();
         let way = (mask & slot) | (!mask & w.byte_at(A - 1));
-        *w = w.promote_or_rotate(slot, way);
-        (way, hit)
-    }
-}
-
-/// FIFO over the same stack word: hits are ignored, fills promote.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoKern<W, const A: usize>(PhantomData<W>);
-
-impl<W: StackWord, const A: usize> LaneKernel for FifoKern<W, A> {
-    const ASSOC: usize = A;
-    type Word = W;
-
-    fn label() -> &'static str {
-        match A {
-            4 => "fifo4/swar32",
-            8 => "fifo8/swar64",
-            _ => "fifo16/swar128",
-        }
-    }
-
-    fn cold(&self) -> W {
-        let mut bytes = [0u8; 16];
-        for (way, b) in bytes.iter_mut().enumerate().take(A) {
-            *b = way as u8;
-        }
-        W::from_stack(&bytes[..A])
-    }
-
-    #[inline(always)]
-    fn hit(&self, _w: &mut W, _way: u32) {
-        // FIFO ignores hits.
-    }
-
-    #[inline(always)]
-    fn fill(&self, w: &mut W, way: u32) {
-        *w = w.promote(way);
-    }
-
-    #[inline(always)]
-    fn victim(&self, w: &mut W) -> u32 {
-        w.byte_at(A - 1)
-    }
-
-    fn pack(&self, state: &PolicyState) -> Option<W> {
-        pack_stack::<W, A>(state, PolicyKind::Fifo)
-    }
-
-    fn unpack(&self, w: W, state: &mut PolicyState) {
-        unpack_stack(w, state);
-    }
-
-    // Branchless: a FIFO fill promotes the tail byte, which is a plain
-    // rotate, and hits leave the word alone — mask blends for both the
-    // way and the word, no hit/miss branch anywhere.
-    #[inline(always)]
-    fn step_full(&self, w: &mut W, slot: u32) -> (u32, bool) {
-        let hit = slot < A as u32;
-        let vic = w.byte_at(A - 1);
-        let mask = (hit as u32).wrapping_neg();
-        let way = (mask & slot) | (!mask & vic);
-        *w = W::select(hit, *w, w.rotate_up());
+        *w = if PROMOTE {
+            w.promote_or_rotate(slot, way)
+        } else {
+            W::select(hit, *w, w.rotate_up())
+        };
         (way, hit)
     }
 }
@@ -701,7 +640,8 @@ pub struct Slab<K: LaneKernel> {
     filled: Vec<u8>,
     /// How many sets have all ways filled. Once this reaches `sets`
     /// the batch loop drops the fill-count logic entirely (the
-    /// `step_full` fast path) — and a full set never un-fills.
+    /// `step_full` fast path) — and no access un-fills a full set;
+    /// only [`load`](Self::load) can.
     full_sets: usize,
 }
 
@@ -728,11 +668,6 @@ impl<K: LaneKernel> Slab<K> {
             filled: vec![0; sets],
             full_sets: 0,
         }
-    }
-
-    /// Number of sets in the slab.
-    pub fn sets(&self) -> usize {
-        self.sets
     }
 
     #[inline(always)]
@@ -803,7 +738,7 @@ impl<K: LaneKernel> Slab<K> {
 
     /// One access against `set`. Returns `true` on a hit.
     #[inline]
-    pub fn access(&mut self, set: usize, tag: u64) -> bool {
+    fn access(&mut self, set: usize, tag: u64) -> bool {
         let m = self.probe(set, tag);
         self.apply(set, tag, m)
     }
@@ -883,21 +818,41 @@ impl<K: LaneKernel> Slab<K> {
         (way < self.filled[set] as usize).then(|| self.tags[self.row(set) + way])
     }
 
-    /// Total filled lines across all sets.
-    pub fn lines(&self) -> u64 {
-        self.filled.iter().map(|&f| f as u64).sum()
+    /// See [`KernelCache::load_set`].
+    fn load(&mut self, set: usize, tags: &[u64], state: &PolicyState) -> bool {
+        assert!(tags.len() <= K::ASSOC, "more tags than ways");
+        let Some(word) = self.kern.pack(state) else {
+            return false;
+        };
+        let r = self.row(set);
+        self.tags[r..r + tags.len()].copy_from_slice(tags);
+        self.words[set] = word;
+        let was_full = self.filled[set] as usize == K::ASSOC;
+        self.filled[set] = tags.len() as u8;
+        self.full_sets =
+            self.full_sets + usize::from(tags.len() == K::ASSOC) - usize::from(was_full);
+        true
+    }
+
+    /// See [`KernelCache::store_set`].
+    fn store(&self, set: usize, tags: &mut [u64], state: &mut PolicyState) -> usize {
+        let filled = self.filled[set] as usize;
+        let r = self.row(set);
+        tags[..filled].copy_from_slice(&self.tags[r..r + filled]);
+        self.kern.unpack(self.words[set], state);
+        filled
     }
 }
 
 macro_rules! kernel_combos {
     ($macro:ident) => {
         $macro! {
-            (Lru4, LruKern<u32, 4>, PolicyKind::Lru, 4),
-            (Lru8, LruKern<u64, 8>, PolicyKind::Lru, 8),
-            (Lru16, LruKern<u128, 16>, PolicyKind::Lru, 16),
-            (Fifo4, FifoKern<u32, 4>, PolicyKind::Fifo, 4),
-            (Fifo8, FifoKern<u64, 8>, PolicyKind::Fifo, 8),
-            (Fifo16, FifoKern<u128, 16>, PolicyKind::Fifo, 16),
+            (Lru4, RecencyKern<u32, 4, true>, PolicyKind::Lru, 4),
+            (Lru8, RecencyKern<u64, 8, true>, PolicyKind::Lru, 8),
+            (Lru16, RecencyKern<u128, 16, true>, PolicyKind::Lru, 16),
+            (Fifo4, RecencyKern<u32, 4, false>, PolicyKind::Fifo, 4),
+            (Fifo8, RecencyKern<u64, 8, false>, PolicyKind::Fifo, 8),
+            (Fifo16, RecencyKern<u128, 16, false>, PolicyKind::Fifo, 16),
             (Plru4, PlruKern<u8, 4>, PolicyKind::TreePlru, 4),
             (Plru8, PlruKern<u8, 8>, PolicyKind::TreePlru, 8),
             (Plru16, PlruKern<u16, 16>, PolicyKind::TreePlru, 16),
@@ -947,34 +902,6 @@ macro_rules! define_kernel_cache {
                 }
             }
 
-            /// This cache's kernel identifier.
-            pub fn label(&self) -> &'static str {
-                match self {
-                    $(Self::$variant(_) => <$kern as LaneKernel>::label(),)*
-                }
-            }
-
-            /// The associativity the kernel is compiled for.
-            pub fn assoc(&self) -> usize {
-                match self {
-                    $(Self::$variant(_) => $assoc,)*
-                }
-            }
-
-            /// Number of sets in the slab.
-            pub fn sets(&self) -> usize {
-                match self {
-                    $(Self::$variant(s) => s.sets(),)*
-                }
-            }
-
-            /// One access. Returns `true` on a hit.
-            pub fn access(&mut self, set: usize, tag: u64) -> bool {
-                match self {
-                    $(Self::$variant(s) => s.access(set, tag),)*
-                }
-            }
-
             /// Replay an interleaved `(set, tag)` stream. Returns
             /// `(hits, misses)`.
             pub fn access_many(&mut self, stream: &[(u32, u64)]) -> (u64, u64) {
@@ -990,10 +917,27 @@ macro_rules! define_kernel_cache {
                 }
             }
 
-            /// Total filled lines across all sets.
-            pub fn lines(&self) -> u64 {
+            /// Load `set` with `tags` in its first ways (the rest
+            /// unfilled) and the policy word packed from `state`.
+            /// Returns `false`, loading nothing, when the kernel does not
+            /// pack `state` (another kind's state, another associativity,
+            /// or a boxed policy).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `tags` is longer than the associativity.
+            pub fn load_set(&mut self, set: usize, tags: &[u64], state: &PolicyState) -> bool {
                 match self {
-                    $(Self::$variant(s) => s.lines(),)*
+                    $(Self::$variant(s) => s.load(set, tags, state),)*
+                }
+            }
+
+            /// Store `set` back: its filled ways' tags into the front of
+            /// `tags` and its policy word into `state`, the state it was
+            /// loaded from. Returns the number of filled ways.
+            pub fn store_set(&self, set: usize, tags: &mut [u64], state: &mut PolicyState) -> usize {
+                match self {
+                    $(Self::$variant(s) => s.store(set, tags, state),)*
                 }
             }
         }
@@ -1005,89 +949,6 @@ kernel_combos!(define_kernel_cache);
 /// Whether a batch kernel is compiled for `kind` at `assoc`.
 pub fn kernel_available(kind: PolicyKind, assoc: usize) -> bool {
     KernelCache::kernel_name(kind, assoc).is_some()
-}
-
-/// Replay a read stream against **one** set through the kernel compiled
-/// for `kind` at the state's associativity: the policy state is packed
-/// into a kernel word, the loop runs branchless over the caller's tag
-/// row, and the word is unpacked back. Returns `None` (the caller
-/// replays the stream one access at a time) when no kernel is compiled
-/// for the pair, the state is not one that kernel packs (a set whose
-/// policy was replaced), or the set has invalidation holes (`valid` not
-/// a dense prefix).
-///
-/// Mirrors the cache-set protocol exactly: misses fill the lowest
-/// invalid way while warming, then the policy victim; a refill clears
-/// the way's dirty bit. Returns `(hits, misses)`.
-pub fn run_set_stream(
-    kind: PolicyKind,
-    state: &mut PolicyState,
-    tags: &mut [u64],
-    valid: &mut u128,
-    dirty: &mut u128,
-    stream: &[u64],
-) -> Option<(u64, u64)> {
-    macro_rules! dispatch_set_stream {
-        ($(($variant:ident, $kern:ty, $kind:pat, $assoc:literal)),*) => {
-            match (kind, state.associativity()) {
-                $(
-                    ($kind, $assoc) => {
-                        run_one::<$kern>(<$kern>::default(), state, tags, valid, dirty, stream)
-                    }
-                )*
-                _ => None,
-            }
-        };
-    }
-    kernel_combos!(dispatch_set_stream)
-}
-
-fn run_one<K: LaneKernel>(
-    kern: K,
-    state: &mut PolicyState,
-    tags: &mut [u64],
-    valid: &mut u128,
-    dirty: &mut u128,
-    stream: &[u64],
-) -> Option<(u64, u64)> {
-    let a = K::ASSOC;
-    if tags.len() < a {
-        return None;
-    }
-    let filled = valid.count_ones() as usize;
-    if filled > a || *valid != (1u128 << filled) - 1 {
-        // Invalidation holes: warm-up fills would not target a dense
-        // prefix, which the kernel's fill counter assumes.
-        return None;
-    }
-    let mut w = kern.pack(state)?;
-    let mut f = filled as u32;
-    let mut hits = 0u64;
-    for &tag in stream {
-        let mut m = 0u32;
-        for (i, &t) in tags[..a].iter().enumerate() {
-            m |= ((t == tag) as u32) << i;
-        }
-        m &= (1u32 << f) - 1;
-        if m != 0 {
-            kern.hit(&mut w, m.trailing_zeros());
-            hits += 1;
-        } else {
-            let way = if (f as usize) < a {
-                let x = f;
-                f += 1;
-                x
-            } else {
-                kern.victim(&mut w)
-            };
-            tags[way as usize] = tag;
-            *dirty &= !(1u128 << way);
-            kern.fill(&mut w, way);
-        }
-    }
-    *valid = (1u128 << f) - 1;
-    kern.unpack(w, state);
-    Some((hits, stream.len() as u64 - hits))
 }
 
 #[cfg(test)]
@@ -1124,12 +985,12 @@ mod tests {
                 let mut serial = KernelCache::for_kind(kind, assoc, sets).unwrap();
                 let (hits, misses) = batched.access_many(&stream);
                 let mut want_hits = 0u64;
-                for &(s, t) in &stream {
-                    want_hits += serial.access(s as usize, t) as u64;
+                for &pair in &stream {
+                    want_hits += serial.access_many(&[pair]).0;
                 }
                 assert_eq!(hits, want_hits, "{kind:?} A={assoc} hit counts differ");
                 assert_eq!(hits + misses, stream.len() as u64);
-                for set in (0..sets).step_by(97) {
+                for set in 0..sets {
                     for w in 0..assoc {
                         assert_eq!(
                             batched.tag(set, w),
@@ -1138,7 +999,6 @@ mod tests {
                         );
                     }
                 }
-                assert_eq!(batched.lines(), serial.lines(), "{kind:?} A={assoc}");
             }
         }
     }
@@ -1273,78 +1133,30 @@ mod tests {
     }
 
     #[test]
-    fn run_set_stream_matches_reference() {
-        for kind in kernel_kinds() {
-            for assoc in [4usize, 8, 16] {
-                let mut state = kind.build_state(assoc, 0);
-                let mut tags = vec![0u64; assoc];
-                let mut valid = 0u128;
-                let mut dirty = 0u128;
-                let st: Vec<u64> = stream(assoc, 1, 5_000, 42)
-                    .iter()
-                    .map(|&(_, t)| t)
-                    .collect();
-                let (hits, misses) =
-                    run_set_stream(kind, &mut state, &mut tags, &mut valid, &mut dirty, &st)
-                        .unwrap_or_else(|| panic!("no kernel for {kind:?}@{assoc}"));
-                let mut r = RefSet::new(kind, assoc);
-                let mut ref_hits = 0u64;
-                for &t in &st {
-                    ref_hits += r.access(t) as u64;
-                }
-                assert_eq!(hits, ref_hits, "{kind:?}@{assoc}");
-                assert_eq!(hits + misses, st.len() as u64);
-                assert_eq!(
-                    state.state_key(),
-                    r.policy.state_key(),
-                    "{kind:?}@{assoc} final state"
-                );
-                for (way, &tag) in tags.iter().enumerate().take(assoc) {
-                    assert_eq!(Some(tag), r.tags[way], "{kind:?}@{assoc} way {way}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_set_stream_rejects_holes_and_foreign_states() {
-        let mut state = PolicyKind::Lru.build_state(8, 0);
-        let mut tags = vec![0u64; 8];
-        let mut dirty = 0u128;
-        // A hole in the valid mask (way 1 invalidated) must fall back.
-        let lru = PolicyKind::Lru;
-        let mut holed = 0b101u128;
-        assert!(run_set_stream(lru, &mut state, &mut tags, &mut holed, &mut dirty, &[1]).is_none());
-        // A kind with no kernel must fall back.
-        let clock = PolicyKind::Clock;
-        let mut clock_state = clock.build_state(8, 0);
-        let mut valid = 0u128;
-        assert!(run_set_stream(
-            clock,
-            &mut clock_state,
-            &mut tags,
-            &mut valid,
-            &mut dirty,
-            &[1]
-        )
-        .is_none());
-        // A state the kind's kernel does not pack (LIP's stack under the
-        // LRU kernel, a boxed LRU) must fall back.
-        for mut foreign in [
+    fn slab_loads_only_states_its_kernel_packs() {
+        let mut slab = KernelCache::for_kind(PolicyKind::Lru, 8, 2).unwrap();
+        // LIP's stack under the LRU kernel, a boxed LRU, another
+        // associativity and another recency rule are refused, and the
+        // set stays cold.
+        for foreign in [
             PolicyKind::Lip.build_state(8, 0),
             PolicyState::from_boxed(Box::new(PolicyKind::Lru.build_state(8, 0))),
+            PolicyKind::Lru.build_state(4, 0),
+            PolicyKind::Fifo.build_state(8, 0),
         ] {
-            assert!(
-                run_set_stream(lru, &mut foreign, &mut tags, &mut valid, &mut dirty, &[1])
-                    .is_none()
-            );
+            assert!(!slab.load_set(0, &[7], &foreign), "{}", foreign.name());
+            assert_eq!(slab.tag(0, 0), None, "{}", foreign.name());
         }
-        // An unsupported associativity must fall back.
-        let mut lru6 = lru.build_state(6, 0);
-        let mut tags6 = vec![0u64; 6];
-        let mut valid6 = 0u128;
-        assert!(
-            run_set_stream(lru, &mut lru6, &mut tags6, &mut valid6, &mut dirty, &[1]).is_none()
-        );
+        // A state it packs comes back through `store_set` unchanged.
+        let mut state = PolicyKind::Lru.build_state(8, 0);
+        for way in [0, 1, 0] {
+            state.on_fill(way);
+        }
+        assert!(slab.load_set(1, &[10, 11], &state));
+        let mut tags = [0u64; 8];
+        let mut back = PolicyKind::Lru.build_state(8, 0);
+        assert_eq!(slab.store_set(1, &mut tags, &mut back), 2);
+        assert_eq!(tags[..2], [10, 11]);
+        assert_eq!(back.state_key(), state.state_key());
     }
 }

@@ -7,6 +7,7 @@
 //! inserted at ([`PolicyKind::recency_rule`] lists them). One
 //! [`RecencyPolicy`] runs all five over one [`RecencyStack`].
 
+use crate::kernel::StackWord;
 use crate::{check_assoc, check_way, PolicyKind, ReplacementPolicy};
 
 /// Largest associativity whose per-way bytes are stored inline.
@@ -113,26 +114,25 @@ impl RecencyStack {
         }
     }
 
+    /// Move `way` to the front. An inline stack (up to 16 ways) is one
+    /// zero-padded little-endian word — a `u64` up to 8 ways, a `u128`
+    /// up to 16 — and takes the batch kernels' SWAR step
+    /// ([`StackWord::promote`]) with no scan and no memmove: the
+    /// single hottest policy update in the simulator.
     #[inline]
     pub(crate) fn most_recent(&mut self, way: usize) {
-        // At 8 ways the whole stack is one little-endian u64 (byte 0 =
-        // MRU): locate the way's byte with the SWAR zero-byte trick and
-        // rotate the prefix with shifts — the single hottest policy
-        // update in the simulator, an order faster than scan + memmove.
-        if let Ok(bytes) = <&mut [u8; 8]>::try_from(self.as_mut_slice()) {
-            check_way(way, 8);
-            let w = u64::from_le_bytes(*bytes);
-            let x = w ^ 0x0101_0101_0101_0101u64.wrapping_mul(way as u64);
-            // The stack is a permutation, so exactly one byte of x is
-            // zero; the subtract-borrow detector flags the lowest one.
-            let zeros = x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080;
-            let cur = zeros.trailing_zeros() as usize / 8;
-            let low = ((1u128 << ((cur + 1) * 8)) - 1) as u64;
-            let rotated = (w & !low) | (((w << 8) & low) | way as u64);
-            *bytes = rotated.to_le_bytes();
-            return;
+        match &mut self.ways {
+            WayBytes::Inline { len, buf } => {
+                check_way(way, usize::from(*len));
+                if *len <= 8 {
+                    let word = buf.first_chunk_mut::<8>().expect("16 inline bytes");
+                    *word = u64::from_le_bytes(*word).promote(way as u32).to_le_bytes();
+                } else {
+                    *buf = u128::from_le_bytes(*buf).promote(way as u32).to_le_bytes();
+                }
+            }
+            WayBytes::Heap(_) => self.move_to(way, 0),
         }
-        self.move_to(way, 0);
     }
 
     #[inline]

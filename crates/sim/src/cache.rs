@@ -165,34 +165,40 @@ impl Cache {
     /// hierarchies forward it to the next level.
     pub fn access_op(&mut self, addr: u64, write: bool) -> (AccessOutcome, Option<u64>) {
         let set = self.config.set_index(addr);
-        let tag = self.config.tag(addr);
         if write {
             self.stats.writes += 1;
         }
-        let (outcome, writeback) = self.sets[set].access_rw(tag, write);
+        match self.sets[set].access_rw(self.config.tag(addr), write) {
+            (SetOutcome::Hit { .. }, _) => {
+                self.stats.record_hit();
+                (AccessOutcome::Hit, None)
+            }
+            (SetOutcome::Miss { evicted, .. }, writeback) => self.miss(set, evicted, writeback),
+        }
+    }
+
+    /// The rest of a miss in `set` after the policy call: statistics, the
+    /// flush list, and the displaced and written-back tags turned back
+    /// into addresses. Out of line, so `access_op` holds no mapping value
+    /// across the policy call: each is read from `self.config` here.
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        set: usize,
+        evicted: Option<u64>,
+        writeback: Option<u64>,
+    ) -> (AccessOutcome, Option<u64>) {
+        self.stats.record_miss(evicted.is_some());
+        // The first line into an empty set: list it for `flush`.
+        if evicted.is_none() && self.sets[set].occupancy() == 1 {
+            self.note_filled(set);
+        }
         let writeback = writeback.map(|t| {
             self.stats.writebacks += 1;
             self.config.addr_of(t, set)
         });
-        match outcome {
-            SetOutcome::Hit { .. } => {
-                self.stats.record_hit();
-                (AccessOutcome::Hit, writeback)
-            }
-            SetOutcome::Miss { evicted, .. } => {
-                self.stats.record_miss(evicted.is_some());
-                // The first line into an empty set: list it for `flush`.
-                if evicted.is_none() && self.sets[set].occupancy() == 1 {
-                    self.note_filled(set);
-                }
-                (
-                    AccessOutcome::Miss {
-                        evicted: evicted.map(|t| self.config.addr_of(t, set)),
-                    },
-                    writeback,
-                )
-            }
-        }
+        let evicted = evicted.map(|t| self.config.addr_of(t, set));
+        (AccessOutcome::Miss { evicted }, writeback)
     }
 
     /// Probe for `addr` without allocating on a miss. Counts the access
@@ -383,56 +389,75 @@ impl Cache {
     /// write-back counts) is identical to calling [`access`](Self::access)
     /// per element.
     ///
-    /// A cache with a [`batch_kernel`](Self::batch_kernel) buckets the
-    /// stream per set — which preserves program order within each set —
-    /// and each set replays its run through the monomorphized kernel; a
-    /// set with invalidation holes replays its run one access at a time.
-    /// Bucketing is sound because catalog policies keep all their state
-    /// inside their set.
+    /// A cache with a [`batch_kernel`](Self::batch_kernel) loads every
+    /// set into a [`KernelCache`] slab, runs the stream through
+    /// [`KernelCache::access_many`] in program order, a bounded chunk of
+    /// `(set, tag)` pairs at a time, and stores the sets back. It runs
+    /// the stream one [`access`](Self::access) at a time instead when a
+    /// set has an invalidation hole (its valid ways are not a dense
+    /// prefix) or any line is dirty, since the slab keeps neither, or
+    /// when a set holds a policy state the kernel does not pack (a set
+    /// replaced through [`set_mut`](Self::set_mut)).
     ///
-    /// Every other cache runs the stream in program order, one
-    /// [`access`](Self::access) at a time. That includes every cache
-    /// holding boxed policies ([`PolicyState::Other`], e.g. from
-    /// [`with_policy_factory`](Self::with_policy_factory)), which may
-    /// share state across sets: the DIP and DRRIP families update one
-    /// PSEL counter from their leader sets, and bucketing would reorder
-    /// those updates.
+    /// Every other cache runs the stream one access at a time. That
+    /// includes every cache holding boxed policies
+    /// ([`PolicyState::Other`], e.g. from
+    /// [`with_policy_factory`](Self::with_policy_factory)).
     pub fn access_many(&mut self, addrs: &[u64]) -> (u64, u64) {
-        let Some((kind, _)) = self.kernel else {
+        /// Pairs per kernel call: the pair buffer stays this small
+        /// whatever the stream's length.
+        const CHUNK: usize = 4096;
+        let slab = match self.kernel {
+            Some((kind, _)) if !addrs.is_empty() => self.load_slab(kind),
+            _ => None,
+        };
+        let Some(mut slab) = slab else {
             let delta = self.run_trace(addrs.iter().copied());
             return (delta.hits, delta.misses);
         };
-        let mut runs: Vec<Vec<u64>> = vec![Vec::new(); self.sets.len()];
-        for &addr in addrs {
-            runs[self.config.set_index(addr)].push(self.config.tag(addr));
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (index, run) in runs.iter().enumerate() {
-            if run.is_empty() {
-                continue;
-            }
-            let set = &mut self.sets[index];
-            let occ_before = set.occupancy() as u64;
-            let dirty_before = set.dirty_lines();
-            let (h, m) = set.access_many(kind, run);
-            let occ_after = set.occupancy() as u64;
+        let mut pairs = Vec::with_capacity(CHUNK.min(addrs.len()));
+        let (mut hits, mut misses) = (0, 0);
+        for chunk in addrs.chunks(CHUNK) {
+            pairs.clear();
+            pairs.extend(
+                chunk
+                    .iter()
+                    .map(|&a| (self.config.set_index(a) as u32, self.config.tag(a))),
+            );
+            let (h, m) = slab.access_many(&pairs);
             hits += h;
             misses += m;
-            // A miss that displaced a valid line is an eviction; fills
-            // into invalid ways grow the occupancy instead.
-            self.stats.evictions += m - (occ_after - occ_before);
-            // Reads never dirty a line and only valid lines are dirty, so
-            // every dirty bit the run cleared was a dirty victim.
-            self.stats.writebacks += dirty_before - set.dirty_lines();
-            if occ_before == 0 {
+        }
+        let mut fills = 0;
+        for index in 0..self.sets.len() {
+            let before = self.sets[index].occupancy();
+            self.sets[index].store_from(&slab, index);
+            let after = self.sets[index].occupancy();
+            fills += (after - before) as u64;
+            if before == 0 && after > 0 {
                 self.note_filled(index);
             }
         }
+        // A miss that displaced a valid line is an eviction; fills into
+        // invalid ways grow the occupancy instead. No line was dirty and
+        // reads dirty none, so nothing was written back.
+        self.stats.evictions += misses - fills;
         self.stats.accesses += hits + misses;
         self.stats.hits += hits;
         self.stats.misses += misses;
         (hits, misses)
+    }
+
+    /// Every set loaded into a fresh slab of `kind`'s kernel, or `None`
+    /// if some set refuses (see [`CacheSet::load_into`]).
+    fn load_slab(&self, kind: PolicyKind) -> Option<KernelCache> {
+        let mut slab = KernelCache::for_kind(kind, self.config.associativity(), self.sets.len())?;
+        let loaded = self
+            .sets
+            .iter()
+            .enumerate()
+            .all(|(index, set)| set.load_into(&mut slab, index));
+        loaded.then_some(slab)
     }
 
     /// Run a whole address trace, returning the stats delta for the run.
@@ -455,6 +480,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachekit_policies::kernel::kernel_available;
 
     fn small_lru() -> Cache {
         Cache::new(CacheConfig::new(1024, 2, 64).unwrap(), PolicyKind::Lru)
@@ -574,58 +600,87 @@ mod tests {
 
     #[test]
     fn access_many_matches_per_access_calls_and_stats() {
-        // LRU@2, CLOCK@8 and LazyLRU@8 have no batch kernel; LRU@4 and
-        // PLRU@8 do. LRU@4 also runs with a hole invalidated in every set
-        // first, where the kernel falls back to per-access replay. All
-        // must agree with the per-access path on every statistic, from a
-        // cold cache and from one whose every line was written first (the
-        // reads then evict dirty lines, so write-backs must be counted).
-        for (kind, assoc, holes) in [
-            (PolicyKind::Lru, 2usize, false),
-            (PolicyKind::Lru, 4, false),
-            (PolicyKind::Lru, 4, true),
-            (PolicyKind::TreePlru, 8, false),
-            (PolicyKind::Clock, 8, false),
-            (PolicyKind::LazyLru, 8, false),
+        // The 12 kernel pairs, plus LRU@2, CLOCK@8 and LazyLRU@8, which
+        // have no kernel. Each stream is cut at seeded split points, and
+        // between batches the twins may both flush, invalidate a line
+        // (leaving a hole the slab cannot load) or write one (leaving a
+        // dirty line the slab does not keep). After every batch the
+        // batched cache must equal its per-access twin in every
+        // statistic, resident line and set's replacement state.
+        let mut cases: Vec<(PolicyKind, usize)> = Vec::new();
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::TreePlru,
+            PolicyKind::Nru,
         ] {
-            for dirty_first in [false, true] {
-                let case = format!("{kind:?}@{assoc} holes={holes} dirty_first={dirty_first}");
-                let cfg = CacheConfig::new(64 * assoc as u64 * 8, assoc, 64).unwrap();
-                let mut batched = Cache::new(cfg, kind);
-                let mut serial = Cache::new(cfg, kind);
-                for cache in [&mut batched, &mut serial] {
-                    if dirty_first || holes {
-                        for line in 0..cfg.capacity() / 64 {
-                            cache.access_op(line * 64, dirty_first);
-                        }
-                    }
-                    if holes {
-                        // Line `l` of the dense fill sits in way `l / sets`
-                        // of its set: drop way 1 everywhere.
-                        let sets = cfg.num_sets();
-                        for line in sets..2 * sets {
-                            assert!(cache.invalidate(line * 64), "{case}");
-                        }
-                    }
-                }
-                let addrs: Vec<u64> = (0..4000u64)
-                    .map(|i| (i * 2654435761 % (3 * 64 * assoc as u64 * 8)) & !63)
-                    .collect();
-                let (hits, misses) = batched.access_many(&addrs);
-                let before = serial.stats().hits;
-                for &a in &addrs {
+            cases.extend([4, 8, 16].map(|assoc| (kind, assoc)));
+        }
+        cases.extend([
+            (PolicyKind::Lru, 2),
+            (PolicyKind::Clock, 8),
+            (PolicyKind::LazyLru, 8),
+        ]);
+        for (kind, assoc) in cases {
+            let sets = 8u64;
+            let cfg = CacheConfig::new(64 * assoc as u64 * sets, assoc, 64).unwrap();
+            let mut batched = Cache::new(cfg, kind);
+            let mut serial = Cache::new(cfg, kind);
+            assert_eq!(
+                batched.batch_kernel().is_some(),
+                kernel_available(kind, assoc)
+            );
+            let mut rng = 0x5EED ^ assoc as u64;
+            let mut next = |bound: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % bound
+            };
+            let lines = sets * assoc as u64;
+            let addrs: Vec<u64> = (0..6000)
+                .map(|_| {
+                    let span = if next(4) == 0 { 3 * lines } else { lines };
+                    64 * next(span)
+                })
+                .collect();
+            let (mut at, mut batch) = (0, 0);
+            while at < addrs.len() {
+                let end = (at + next(1200) as usize).min(addrs.len());
+                let case = format!("{kind:?}@{assoc} batch {batch} ({at}..{end})");
+                let (hits, misses) = batched.access_many(&addrs[at..end]);
+                let before = serial.stats();
+                for &a in &addrs[at..end] {
                     serial.access(a);
                 }
-                assert_eq!(hits, serial.stats().hits - before, "{case}");
-                assert_eq!(hits + misses, addrs.len() as u64);
+                assert_eq!(hits, serial.stats().hits - before.hits, "{case}");
+                assert_eq!(misses, serial.stats().misses - before.misses, "{case}");
                 assert_eq!(batched.stats(), serial.stats(), "{case}");
-                if dirty_first {
-                    assert!(serial.stats().writebacks > 0, "{case}");
+                assert_eq!(batched.resident_lines(), serial.resident_lines(), "{case}");
+                for set in 0..sets as usize {
+                    assert_eq!(
+                        batched.set(set).policy().state_key(),
+                        serial.set(set).policy().state_key(),
+                        "{case} set {set}"
+                    );
                 }
-                for a in &addrs {
-                    assert_eq!(batched.contains(*a), serial.contains(*a), "{case}");
+                let line = addrs[next(addrs.len() as u64) as usize];
+                let op = next(6);
+                for cache in [&mut batched, &mut serial] {
+                    match op {
+                        0 => cache.flush(),
+                        1 | 2 => {
+                            cache.invalidate(line);
+                        }
+                        3 => {
+                            cache.write(line);
+                        }
+                        _ => {}
+                    }
                 }
+                (at, batch) = (end, batch + 1);
             }
+            assert!(batch > 5, "{kind:?}@{assoc}: only {batch} batches");
         }
     }
 
@@ -639,7 +694,7 @@ mod tests {
         let cfg = CacheConfig::new(64 * 1024, 8, 64).unwrap();
         let build = |name: &str| -> (Cache, Arc<DuelState>) {
             if name == "DIP" {
-                let f = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 7);
+                let f = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, cfg.num_sets(), 7);
                 let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));
                 (c, Arc::clone(f.duel()))
             } else {
@@ -649,6 +704,7 @@ mod tests {
                         throttle: 32,
                     },
                     8,
+                    cfg.num_sets(),
                     7,
                 );
                 let c = Cache::with_policy_factory(cfg, name, |s| f.policy_for_set(s));

@@ -1,6 +1,7 @@
 //! A single cache set: tags, validity and replacement state.
 
-use cachekit_policies::{PolicyKind, PolicyState, ReplacementPolicy};
+use cachekit_policies::kernel::KernelCache;
+use cachekit_policies::{PolicyState, ReplacementPolicy};
 
 /// One set of a set-associative cache.
 ///
@@ -274,33 +275,23 @@ impl CacheSet {
         Some(dirty)
     }
 
-    /// Run a stream of read accesses through the set in one call,
-    /// returning `(hits, misses)`.
-    ///
-    /// Behaviour is access-for-access identical to calling
-    /// [`access_tag`](Self::access_tag) per element. When `kind` has a
-    /// compiled batch kernel at this associativity (LRU/FIFO/PLRU/NRU at
-    /// 4/8/16 ways, see `cachekit_policies::kernel`) and the set's policy
-    /// state is that kind's, the monomorphized loop runs over the raw
-    /// tag array; a set with invalidation holes, or any other policy,
-    /// replays the stream one access at a time.
-    pub(crate) fn access_many(&mut self, kind: PolicyKind, stream: &[u64]) -> (u64, u64) {
-        let CacheSet {
-            tags,
-            valid,
-            dirty,
-            policy,
-        } = self;
-        if let Some(counts) = cachekit_policies::kernel::run_set_stream(
-            kind, policy, &mut *tags, valid, dirty, stream,
-        ) {
-            return counts;
-        }
-        let hits = stream
-            .iter()
-            .filter(|&&tag| matches!(self.access(tag), SetOutcome::Hit { .. }))
-            .count() as u64;
-        (hits, stream.len() as u64 - hits)
+    /// Load this set into set `index` of a batch-kernel slab. Returns
+    /// `false`, loading nothing, when the set has an invalidation hole
+    /// (its valid ways are not the dense prefix the slab's fill counter
+    /// assumes), any dirty line (the slab keeps no dirty bits), or a
+    /// policy state the kernel does not pack.
+    pub(crate) fn load_into(&self, slab: &mut KernelCache, index: usize) -> bool {
+        // Ways 0..filled valid and no others: `valid + 1` is a power of two.
+        let dense = self.valid & self.valid.wrapping_add(1) == 0;
+        let filled = self.occupancy();
+        dense && self.dirty == 0 && slab.load_set(index, &self.tags[..filled], &self.policy)
+    }
+
+    /// Store set `index` of `slab` back into this set, the one it was
+    /// loaded from: tags, validity and policy state.
+    pub(crate) fn store_from(&mut self, slab: &KernelCache, index: usize) {
+        let filled = slab.store_set(index, &mut self.tags, &mut self.policy);
+        self.valid = (1u128 << filled) - 1;
     }
 
     /// Whether the line holding `tag` is dirty.
@@ -399,11 +390,6 @@ impl CacheSet {
         self.valid.count_ones() as usize
     }
 
-    /// Number of dirty lines.
-    pub(crate) fn dirty_lines(&self) -> u64 {
-        u64::from(self.dirty.count_ones())
-    }
-
     /// The resident tags in way order.
     pub fn resident_tags(&self) -> Vec<u64> {
         (0..self.tags.len())
@@ -421,6 +407,7 @@ impl CacheSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachekit_policies::PolicyKind;
 
     fn lru_set(assoc: usize) -> CacheSet {
         CacheSet::from_state(PolicyKind::Lru.build_state(assoc, 0))
@@ -562,32 +549,6 @@ mod tests {
         assert_eq!(s.force_evict(0), None);
     }
 
-    #[test]
-    fn access_many_matches_per_access_calls() {
-        for kind in PolicyKind::differential_kinds() {
-            let mut batched = CacheSet::from_state(kind.build_state(4, 9));
-            let mut serial = CacheSet::from_state(kind.build_state(4, 9));
-            let stream: Vec<u64> = (0..200u64).map(|i| (i * 7 + i * i / 5) % 11).collect();
-            let (hits, misses) = batched.access_many(kind, &stream);
-            let mut serial_hits = 0;
-            for &tag in &stream {
-                if serial.access_tag(tag).is_hit() {
-                    serial_hits += 1;
-                }
-            }
-            assert_eq!(hits, serial_hits, "kind {kind:?}");
-            assert_eq!(hits + misses, stream.len() as u64);
-            for w in 0..4 {
-                assert_eq!(batched.tag_in_way(w), serial.tag_in_way(w), "kind {kind:?}");
-            }
-            assert_eq!(
-                batched.policy().state_key(),
-                serial.policy().state_key(),
-                "kind {kind:?}"
-            );
-        }
-    }
-
     /// `way_of` against a scan over (`valid`, tags) after every step of
     /// a seeded stream of accesses, installs, extracts, invalidations and
     /// flushes, on inline (4, 8) and heap (16, 24, and 72 for a row of
@@ -643,17 +604,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn access_many_clears_dirty_bits_on_refill() {
-        let mut s = lru_set(2);
-        s.access_rw(1, true);
-        s.access_rw(2, false);
-        // Batched refill displaces dirty tag 1; the way must not stay
-        // dirty for the incoming tag.
-        s.access_many(PolicyKind::Lru, &[3]);
-        assert!(!s.is_dirty(3));
-        assert!(!s.contains(1));
     }
 }

@@ -13,7 +13,12 @@ fn config() -> CacheConfig {
 }
 
 fn run_dip(trace: &[u64]) -> CacheStats {
-    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 0xD1B);
+    let family = DuelFamily::new(
+        PolicyKind::Bip { throttle: 32 },
+        8,
+        config().num_sets(),
+        0xD1B,
+    );
     let mut cache = Cache::with_policy_factory(config(), "DIP", |set| family.policy_for_set(set));
     cache.run_trace(trace.iter().copied())
 }
@@ -23,7 +28,7 @@ fn run_drrip(trace: &[u64]) -> CacheStats {
         bits: 2,
         throttle: 32,
     };
-    let family = DuelFamily::new(brrip, 8, 0xD2B);
+    let family = DuelFamily::new(brrip, 8, config().num_sets(), 0xD2B);
     let mut cache = Cache::with_policy_factory(config(), "DRRIP", |set| family.policy_for_set(set));
     cache.run_trace(trace.iter().copied())
 }
@@ -92,7 +97,7 @@ fn drrip_is_never_far_from_the_better_component() {
 #[test]
 fn dip_psel_moves_in_the_expected_direction() {
     // A thrashing trace drives PSEL positive (LRU leaders missing).
-    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, 1);
+    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, config().num_sets(), 1);
     let mut cache = Cache::with_policy_factory(config(), "DIP", |set| family.policy_for_set(set));
     cache.run_trace(workload("thrash_loop").iter().copied().take(50_000));
     assert!(
@@ -100,4 +105,31 @@ fn dip_psel_moves_in_the_expected_direction() {
         "PSEL = {} after thrashing",
         family.duel().psel()
     );
+}
+
+#[test]
+fn a_sixteen_set_duel_moves_psel_both_ways() {
+    // Under 32 sets a duel still gets a leader of each kind (sets 0 and
+    // 8 here), so PSEL can fall as well as rise. Scans of fresh lines
+    // over three times the capacity alternate with loops over half of
+    // it, which the two leaders miss on in turn.
+    let sets = 16;
+    let config = CacheConfig::new(sets * 8 * LINE, 8, LINE).unwrap();
+    let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, 8, sets, 0xD1B);
+    let mut cache = Cache::with_policy_factory(config, "DIP", |set| family.policy_for_set(set));
+    let lines = sets * 8;
+    let phase_len = 3 * lines;
+    let (mut low, mut high) = (0, 0);
+    for step in 0..40_000u64 {
+        let (phase, offset) = (step / phase_len, step % phase_len);
+        let line = if phase.is_multiple_of(2) {
+            lines * (1 + 3 * phase) + offset
+        } else {
+            offset % (lines / 2)
+        };
+        cache.access(line * LINE);
+        let psel = family.duel().psel();
+        (low, high) = (low.min(psel), high.max(psel));
+    }
+    assert!(low < 0 && high > 0, "PSEL stayed within {low}..={high}");
 }

@@ -837,7 +837,8 @@ fn bimodal_kinds_replay_the_pinned_event_stream() {
 /// A DIP-1/`throttle` cache: every set a member of one family, sharing
 /// its PSEL, which is returned beside the cache.
 fn dip_cache(config: CacheConfig, throttle: u32) -> (Cache, Arc<DuelState>) {
-    let family = DuelFamily::new(PolicyKind::Bip { throttle }, config.associativity(), 0xD1B);
+    let bip = PolicyKind::Bip { throttle };
+    let family = DuelFamily::new(bip, config.associativity(), config.num_sets(), 0xD1B);
     let duel = Arc::clone(family.duel());
     let cache = Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set));
     (cache, duel)
@@ -847,7 +848,7 @@ fn dip_cache(config: CacheConfig, throttle: u32) -> (Cache, Arc<DuelState>) {
 /// as [`dip_cache`] builds DIP.
 fn drrip_cache(config: CacheConfig, bits: u8, throttle: u32) -> (Cache, Arc<DuelState>) {
     let brrip = PolicyKind::Brrip { bits, throttle };
-    let family = DuelFamily::new(brrip, config.associativity(), 0xD2B);
+    let family = DuelFamily::new(brrip, config.associativity(), config.num_sets(), 0xD2B);
     let duel = Arc::clone(family.duel());
     let cache = Cache::with_policy_factory(config, "DRRIP", move |set| family.policy_for_set(set));
     (cache, duel)

@@ -426,7 +426,8 @@ fn flush_twins() -> Vec<FlushTwin> {
             });
         }
         let dip = || {
-            let family = DuelFamily::new(PolicyKind::Bip { throttle: 32 }, assoc, 0xD1B);
+            let bip = PolicyKind::Bip { throttle: 32 };
+            let family = DuelFamily::new(bip, assoc, config.num_sets(), 0xD1B);
             let duel = Arc::clone(family.duel());
             let cache =
                 Cache::with_policy_factory(config, "DIP", move |set| family.policy_for_set(set));
