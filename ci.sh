@@ -41,17 +41,16 @@ run cargo test -q --workspace --exclude cachekit
 run cargo test -q --release --test fault_differential --test vote_plan
 run cargo run --release -q -p cachekit-bench --bin fig11_robustness -- --smoke
 
-# Engine differential at release optimisation: every engine (the
-# eager and lazy table adapters, the batch kernels, and a boxed replica
-# set that runs the permutation-spec interpreter for the recency-stack
-# kinds, test-local references for the age-counter and bimodal kinds
-# and the concrete policies for the rest) bit-identical to the enum
-# engine over all 13 differential kinds, the catalog-spec -> table round
-# trip, and the pinned digests of the recency-stack kinds, of the
-# age-counter and bit-vector kinds (NRU, SRRIP-1..7, QLRU-0..3, BitPLRU,
-# CLOCK, BRRIP at 1-128 ways), of the bimodal kinds (BIP-1/t and
-# BRRIP-k-1/t at 1-128 ways) and the DIP and DRRIP duels (whole caches,
-# PSEL after every access), and of the catalog.
+# Engine differential at release optimisation: the batch kernels and a
+# boxed replica set (the permutation-spec interpreter for the
+# recency-stack kinds, test-local references for the age-counter and
+# bimodal kinds, the concrete policies for the rest) bit-identical to
+# the enum engine over all 13 differential kinds, with and without
+# interleaved invalidations, and the pinned digests of the recency-stack
+# kinds, of the age-counter and bit-vector kinds (NRU, SRRIP-1..7,
+# QLRU-0..3, BitPLRU, CLOCK, BRRIP at 1-128 ways), of the bimodal kinds
+# (BIP-1/t and BRRIP-k-1/t at 1-128 ways) and the DIP and DRRIP duels
+# (whole caches, PSEL after every access), and of the catalog.
 run cargo test -q --release --test engine_differential
 
 # Inference-engine differential at release optimisation: permutation
@@ -128,17 +127,17 @@ done
 # in results/table3_cost.json covers the full associativity ladder).
 run cargo run --release -q -p cachekit-bench --bin table3_cost -- --smoke
 
-# Engine-throughput smoke: exercises all four engines (enum, the eager
-# and lazy table adapters serve runs, and the batch kernel) end-to-end
-# and writes the untracked results/bench_access_smoke.json (the recorded
-# numbers in results/bench_access.json come from the full run). The
-# binary itself exits nonzero if any target row is missing from the
-# sweep — e.g. a (policy, assoc) kernel that stopped compiling.
+# Engine-throughput smoke: exercises both engines serve runs (enum and
+# the batch kernel) end-to-end and writes the untracked
+# results/bench_access_smoke.json (the recorded numbers in
+# results/bench_access.json come from the full run). The binary itself
+# exits nonzero if any target row is missing from the sweep — e.g. a
+# (policy, assoc) kernel that stopped compiling.
 run cargo run --release -q -p cachekit-bench --bin bench_access -- --smoke
 
 # The committed full-run engine record must have closed every gap: no
-# bare "n/a" cells (skips are typed: stochastic / table_blowup /
-# no_kernel), and no target recorded as unmet.
+# bare "n/a" cells (a pair without a kernel is typed no_kernel), and no
+# target recorded as unmet.
 echo "==> grep -c 'n/a' results/bench_access.json"
 if grep -q 'n/a' results/bench_access.json; then
     echo "ci: results/bench_access.json contains untyped n/a cells" >&2
@@ -172,7 +171,10 @@ fi
 # stream fails here too. hits_pipelined must also serve at least 10,000 pipelined cache hits
 # per second. A 1-second run reads 100k-170k req/s on a 2-vCPU VM, so
 # noise stays clear of the floor and a hit path slowed more than about
-# tenfold trips it.
+# tenfold trips it. sim_cold must peak at no more than 100 MB resident:
+# its 1-second run reads about 40 MB on a 2-vCPU VM, and read 233 MB
+# while process-wide transition-table memos lived, so a memo that
+# comes back trips it.
 echo "==> CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
@@ -192,6 +194,13 @@ for workload in sim_cold eval_sweep infer_cold hits_pipelined; do
         echo "ci: perfbench infer_cold oracle traffic moved:" >&2
         grep -o 'oracle accesses=[0-9]*' <<<"$out" >&2
         exit 1
+    fi
+    if [[ "$workload" == sim_cold ]]; then
+        rss=$(awk '$1 == "peak_rss_mb" && $2 == "=" { print $3 }' <<<"$out")
+        if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 100) }'; then
+            echo "ci: perfbench sim_cold peaks at ${rss:-none} MB resident, over the 100 MB ceiling" >&2
+            exit 1
+        fi
     fi
     if [[ "$workload" == hits_pipelined ]]; then
         rps=$(awk '$1 == "rps" && $2 == "=" { print $3 }' <<<"$out")

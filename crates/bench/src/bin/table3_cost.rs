@@ -92,6 +92,7 @@ fn main() {
         let matched = report.finding().and_then(|f| f.matched());
         assert_eq!(matched, Some("LRU"), "assoc {assoc}");
         let (pm, pa) = (oracle.measurements() - gm, oracle.accesses() - ga);
+        assert_eq!(report.measurements_used, pm, "assoc {assoc}");
 
         // The automata campaign runs against a *fresh* oracle so its
         // Counting deltas are not polluted by the permutation run.

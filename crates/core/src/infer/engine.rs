@@ -199,9 +199,10 @@ impl PermutationEngine {
         Self { strict: false }
     }
 
-    /// The classic fail-fast variant: a fixed median vote per query, no
-    /// budget accounting (`measurements_used` is 0 and confidence is 1.0
-    /// for a report, 0.0 for an error).
+    /// The classic fail-fast variant: a fixed median vote per query and
+    /// no budget (`measurements_used` counts the oracle calls the
+    /// campaign made, and confidence is 1.0 for a report, 0.0 for an
+    /// error).
     pub fn strict() -> Self {
         Self { strict: true }
     }

@@ -7,15 +7,16 @@
 //! per position, predicted-vs-measured validation, catalog match — and a
 //! [`Voter`] decides how each query is voted:
 //!
-//! * [`Strict`] takes the median of `repetitions` readings per query and
-//!   never runs dry (`PermutationEngine::strict`);
+//! * [`Strict`] takes the median of `repetitions` readings per query,
+//!   never runs dry and counts its oracle calls
+//!   (`PermutationEngine::strict`);
 //! * [`Budgeted`] votes adaptively, absorbs transient faults and charges
 //!   every raw attempt against the campaign's [`MeasurementBudget`]; a
 //!   campaign that runs the budget dry returns a degraded partial report
 //!   instead of guessing (`PermutationEngine::budgeted`).
 
 use crate::infer::engine::{Finding, InferenceReport, InferenceRequest};
-use crate::infer::oracle::{estimate_counter_noise, CacheOracle};
+use crate::infer::oracle::{estimate_counter_noise, CacheOracle, Counted};
 use crate::infer::vote::{MeasurementBudget, VoteOutcome, VotePlan};
 use crate::infer::{Geometry, InferenceConfig, InferenceError, ReadoutSearch};
 use crate::perm::{match_spec, Permutation, PermutationSpec};
@@ -161,16 +162,31 @@ pub(crate) trait Voter {
 }
 
 /// Fixed-cost voting: the median of `repetitions` readings per query, no
-/// budget, no accounting.
+/// budget; the only accounting is the count of oracle calls.
 pub(crate) struct Strict {
     plan: VotePlan,
+    /// Oracle calls made so far.
+    calls: u64,
 }
 
 impl Strict {
     pub(crate) fn new(config: &InferenceConfig) -> Self {
         Self {
             plan: VotePlan::of(config.repetitions),
+            calls: 0,
         }
+    }
+
+    /// Run `query` against `oracle`, counting the calls it makes.
+    fn counted<R>(
+        &mut self,
+        oracle: &mut dyn CacheOracle,
+        query: impl FnOnce(&mut Counted<&mut dyn CacheOracle>) -> R,
+    ) -> R {
+        let mut counted = Counted::new(oracle);
+        let out = query(&mut counted);
+        self.calls += counted.measurements();
+        out
     }
 }
 
@@ -178,7 +194,7 @@ impl Voter for Strict {
     const SPAN: &'static str = "infer_policy";
 
     fn noise_floor(&mut self, oracle: &mut dyn CacheOracle) -> Result<f64, Exhausted> {
-        Ok(estimate_counter_noise(oracle, 200))
+        Ok(self.counted(oracle, |o| estimate_counter_noise(o, 200)))
     }
 
     fn vote(
@@ -187,7 +203,11 @@ impl Voter for Strict {
         warmup: &[u64],
         probe: &[u64],
     ) -> Result<(usize, f64), Exhausted> {
-        Ok((self.plan.measure(oracle, warmup, probe), 1.0))
+        let plan = self.plan;
+        Ok((
+            self.counted(oracle, |o| plan.measure(o, warmup, probe)),
+            1.0,
+        ))
     }
 
     fn validate(
@@ -196,7 +216,8 @@ impl Voter for Strict {
         warmup: &[u64],
         probe: &[u64],
     ) -> Result<usize, Exhausted> {
-        Ok(self.plan.measure(oracle, warmup, probe))
+        let plan = self.plan;
+        Ok(self.counted(oracle, |o| plan.measure(o, warmup, probe)))
     }
 
     /// The verdict is the only confidence signal: 1.0 for a report, 0.0
@@ -214,7 +235,7 @@ impl Voter for Strict {
             outcome,
             degraded: false,
             position_confidences: Vec::new(),
-            measurements_used: 0,
+            measurements_used: self.calls,
             measurement_budget: None,
             timeouts: 0,
             dropped: 0,

@@ -17,26 +17,20 @@
 //! policies; random replacement and policies whose behaviour depends on
 //! physical way indices (bit-PLRU, NRU, RRIP) are not.
 //!
-//! Beyond interpreting specs ([`PermutationPolicy`]), the formalism can be
-//! *compiled*: [`PermTable`] enumerates the reachable states of any
-//! deterministic policy and precomputes `u16` transition tables, turning
-//! every access into a table lookup.
+//! [`PermutationPolicy`] interprets a spec. The retired transition-table
+//! engines survive only as a stub of four names that perfbench's replay
+//! imports.
 
 mod catalog;
 mod derive;
 mod equivalence;
-mod lazy;
 mod permutation;
 mod policy;
-mod table;
+mod retired;
 
 pub use catalog::{catalog_for, match_spec, CatalogEntry};
 pub use derive::{derive_permutation_spec, detect_insertion_position, DeriveError};
 pub use equivalence::{equivalent, Counterexample, EquivalenceResult};
-pub use lazy::{
-    lazy_table_for_kind, LazyPermTable, LazyTablePolicy, DEFAULT_LAZY_STATE_BUDGET,
-    MAX_LAZY_STATE_BUDGET,
-};
 pub use permutation::{Permutation, PermutationError};
 pub use policy::{PermutationPolicy, PermutationSpec, SpecError};
-pub use table::{table_for_kind, PermTable, TableError, TablePolicy, MAX_STATE_BUDGET};
+pub use retired::{lazy_table_for_kind, table_for_kind, LazyTablePolicy, TablePolicy};

@@ -60,6 +60,16 @@ pub trait StackWord: Copy + Debug + Eq + Send + Sync + 'static {
     fn from_stack(bytes: &[u8]) -> Self;
     /// Scatter the word back into stack bytes.
     fn to_stack(self, bytes: &mut [u8]);
+    /// The SWAR zero-byte detector: the high bit of every byte equal to
+    /// `way` is set. Borrow propagation can also raise false flags, but
+    /// only above the lowest real match, so the lowest flag is exact.
+    fn match_flags(self, way: u32) -> Self;
+    /// Stack position of the lowest byte equal to `way`, read off the
+    /// lowest [`match_flags`](Self::match_flags) bit. In a stack
+    /// zero-padded above its last byte the real byte sits below the
+    /// padding, so way 0 never matches a padding byte; a way absent from
+    /// the word reads `BYTES`.
+    fn position(self, way: u32) -> usize;
     /// Move the byte equal to `way` to position 0, shifting the bytes
     /// before it up — the LRU "promote to MRU" permutation, done with
     /// the SWAR zero-byte locate + prefix shift. Only the lowest byte
@@ -67,6 +77,11 @@ pub trait StackWord: Copy + Debug + Eq + Send + Sync + 'static {
     /// correctly when zero-padded above its last byte (the enum
     /// engine's `RecencyStack::most_recent` relies on this).
     fn promote(self, way: u32) -> Self;
+    /// Promote `way` only if it sits at stack position `from` or
+    /// deeper, else leave the word unchanged — LazyLRU's hit. The two
+    /// words are chosen with [`select`](Self::select), not a branch on
+    /// the position.
+    fn promote_from(self, way: u32, from: usize) -> Self;
     /// Fused full-set LRU step: promote the byte equal to `slot` when
     /// present, else rotate (a planted top-byte flag turns the absent
     /// miss sentinel into a match on the LRU tail), inserting `insert`
@@ -112,17 +127,25 @@ macro_rules! stack_word {
             }
 
             #[inline(always)]
+            fn match_flags(self, way: u32) -> Self {
+                let x = self ^ Self::LO.wrapping_mul(way as $t);
+                x.wrapping_sub(Self::LO) & !x & Self::HI
+            }
+
+            #[inline(always)]
+            fn position(self, way: u32) -> usize {
+                (self.match_flags(way).trailing_zeros() / 8) as usize
+            }
+
+            #[inline(always)]
             fn promote(self, way: u32) -> Self {
                 // The stack is a permutation, so exactly one byte equals
-                // `way`; the subtract-borrow detector flags it. Borrow
-                // propagation can only raise *false* flags above the
-                // real match, so isolating the lowest flag bit is exact
-                // — and shifting it up one builds the prefix mask
+                // `way`, and isolating the lowest match flag finds it
+                // — shifting that bit up one builds the prefix mask
                 // without a length branch (the shift falls off the top
                 // when the match is the last byte, wrapping to an
                 // all-ones mask, which is exactly the full-width case).
-                let x = self ^ Self::LO.wrapping_mul(way as $t);
-                let zeros = x.wrapping_sub(Self::LO) & !x & Self::HI;
+                let zeros = self.match_flags(way);
                 let lowbit = zeros & zeros.wrapping_neg();
                 let low = (lowbit << 1).wrapping_sub(1);
                 (self & !low) | ((self << 8) & low) | (way as $t)
@@ -140,11 +163,15 @@ macro_rules! stack_word {
                 // dependency chain. The caller passes the victim way
                 // as `insert` (on a hit that equals `slot`).
                 let top = (1 as $t) << (<$t>::BITS - 1);
-                let x = self ^ Self::LO.wrapping_mul(slot as $t);
-                let zeros = (x.wrapping_sub(Self::LO) & !x & Self::HI) | top;
+                let zeros = self.match_flags(slot) | top;
                 let lowbit = zeros & zeros.wrapping_neg();
                 let low = (lowbit << 1).wrapping_sub(1);
                 (self & !low) | ((self << 8) & low) | (insert as $t)
+            }
+
+            #[inline(always)]
+            fn promote_from(self, way: u32, from: usize) -> Self {
+                Self::select(self.position(way) >= from, self.promote(way), self)
             }
 
             #[inline(always)]

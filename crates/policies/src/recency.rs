@@ -89,15 +89,29 @@ impl RecencyStack {
         self.ways.as_mut_slice()
     }
 
-    /// Position of `way` in the stack (0 = MRU).
+    /// Position of `way` in the stack (0 = MRU). An inline stack reads
+    /// it off its word ([`StackWord::position`]); a heap-backed one
+    /// scans.
     #[inline]
     pub(crate) fn position(&self, way: usize) -> usize {
-        let stack = self.as_slice();
-        check_way(way, stack.len());
-        stack
-            .iter()
-            .position(|&w| w as usize == way)
-            .expect("stack is a permutation of all ways")
+        match &self.ways {
+            WayBytes::Inline { len, buf } => {
+                check_way(way, usize::from(*len));
+                if *len <= 8 {
+                    let word = buf.first_chunk::<8>().expect("16 inline bytes");
+                    u64::from_le_bytes(*word).position(way as u32)
+                } else {
+                    u128::from_le_bytes(*buf).position(way as u32)
+                }
+            }
+            WayBytes::Heap(stack) => {
+                check_way(way, stack.len());
+                stack
+                    .iter()
+                    .position(|&w| w as usize == way)
+                    .expect("stack is a permutation of all ways")
+            }
+        }
     }
 
     /// Move `way` to the given position, shifting the ways in between.
@@ -114,25 +128,43 @@ impl RecencyStack {
         }
     }
 
-    /// Move `way` to the front. An inline stack (up to 16 ways) is one
-    /// zero-padded little-endian word — a `u64` up to 8 ways, a `u128`
-    /// up to 16 — and takes the batch kernels' SWAR step
-    /// ([`StackWord::promote`]) with no scan and no memmove: the
-    /// single hottest policy update in the simulator.
-    #[inline]
-    pub(crate) fn most_recent(&mut self, way: usize) {
+    /// Move `way` to the front if it sits at stack position `from` or
+    /// deeper. An inline stack (up to 16 ways) is one zero-padded
+    /// little-endian word — a `u64` up to 8 ways, a `u128` up to 16 —
+    /// and takes the batch kernels' SWAR step
+    /// ([`StackWord::promote_from`]) with no scan, no memmove and no
+    /// branch on the position. Always inlined, so that
+    /// [`most_recent`](Self::most_recent)'s constant `from` folds away.
+    #[inline(always)]
+    pub(crate) fn promote_from(&mut self, way: usize, from: usize) {
         match &mut self.ways {
             WayBytes::Inline { len, buf } => {
                 check_way(way, usize::from(*len));
                 if *len <= 8 {
                     let word = buf.first_chunk_mut::<8>().expect("16 inline bytes");
-                    *word = u64::from_le_bytes(*word).promote(way as u32).to_le_bytes();
+                    *word = u64::from_le_bytes(*word)
+                        .promote_from(way as u32, from)
+                        .to_le_bytes();
                 } else {
-                    *buf = u128::from_le_bytes(*buf).promote(way as u32).to_le_bytes();
+                    *buf = u128::from_le_bytes(*buf)
+                        .promote_from(way as u32, from)
+                        .to_le_bytes();
                 }
             }
-            WayBytes::Heap(_) => self.move_to(way, 0),
+            WayBytes::Heap(_) => {
+                if from == 0 || self.position(way) >= from {
+                    self.move_to(way, 0);
+                }
+            }
         }
+    }
+
+    /// Move `way` to the front: the single hottest policy update in the
+    /// simulator. With `from` 0 the inline step folds to
+    /// [`StackWord::promote`].
+    #[inline]
+    pub(crate) fn most_recent(&mut self, way: usize) {
+        self.promote_from(way, 0);
     }
 
     #[inline]
@@ -300,12 +332,13 @@ impl ReplacementPolicy for RecencyPolicy {
 
     #[inline]
     fn on_hit(&mut self, way: usize) {
-        // Every hit promotes (LRU, LIP, SLRU) without a position scan;
-        // FIFO's hits do no work; only a threshold inside the stack
-        // (LazyLRU) reads the way's position first.
-        let from = self.promote_from as usize;
-        if from == 0 || (from < self.stack.assoc() && self.stack.position(way) >= from) {
-            self.stack.most_recent(way);
+        // Every hit promotes (LRU, LIP, SLRU); a threshold inside the
+        // stack (LazyLRU) promotes only the hits at or below it; FIFO's
+        // hits do no work.
+        match self.promote_from as usize {
+            0 => self.stack.most_recent(way),
+            from if from < self.stack.assoc() => self.stack.promote_from(way, from),
+            _ => {}
         }
     }
 
@@ -348,6 +381,7 @@ impl ReplacementPolicy for RecencyPolicy {
 mod tests {
     use super::*;
     use crate::conformance::{run_script, Step};
+    use crate::rng::Prng;
 
     /// The stack from MRU to LRU.
     fn order(p: &RecencyPolicy) -> Vec<usize> {
@@ -445,6 +479,63 @@ mod tests {
                 (0..assoc).collect::<Vec<_>>(),
                 "{kind:?}@{assoc}"
             );
+        }
+    }
+
+    /// `way`'s position read off the zero-padded stack bytes as one `W`.
+    fn word_position<W: StackWord>(padded: &[u8; 16], way: usize) -> usize {
+        W::from_stack(&padded[..W::BYTES]).position(way as u32)
+    }
+
+    #[test]
+    fn swar_position_and_lazy_promote_match_the_slice_scan() {
+        let mut rng = Prng::seed_from_u64(0x5EED);
+        // 1-16 ways are inline words; 24 is heap-backed and scans.
+        for assoc in (1..=16usize).chain([24]) {
+            for _ in 0..8 {
+                let mut ways: Vec<u8> = (0..assoc as u8).collect();
+                rng.shuffle(&mut ways);
+                let mut stack = RecencyStack::new(assoc);
+                stack.as_mut_slice().copy_from_slice(&ways);
+                // Every word wide enough for the stack, zero-padded above
+                // it, so way 0 is also probed against the padding.
+                let mut padded = [0u8; 16];
+                padded[..assoc.min(16)].copy_from_slice(&ways[..assoc.min(16)]);
+                let mut lazy = RecencyPolicy::new(PolicyKind::LazyLru, assoc);
+                let threshold = lazy.rule().promote_from;
+                lazy.stack = stack.clone();
+                for way in 0..assoc {
+                    let pos = ways.iter().position(|&w| usize::from(w) == way).unwrap();
+                    if assoc <= 4 {
+                        assert_eq!(word_position::<u32>(&padded, way), pos, "{ways:?}");
+                    }
+                    if assoc <= 8 {
+                        assert_eq!(word_position::<u64>(&padded, way), pos, "{ways:?}");
+                    }
+                    if assoc <= 16 {
+                        assert_eq!(word_position::<u128>(&padded, way), pos, "{ways:?}");
+                    }
+                    assert_eq!(stack.position(way), pos, "{ways:?} way {way}");
+                    for from in 0..=assoc {
+                        let mut expect = ways.clone();
+                        if pos >= from {
+                            expect[..=pos].rotate_right(1);
+                        }
+                        let mut promoted = stack.clone();
+                        promoted.promote_from(way, from);
+                        assert_eq!(
+                            promoted.as_slice(),
+                            expect,
+                            "{ways:?} way {way} from {from}"
+                        );
+                        if from == threshold {
+                            let mut hit = lazy.clone();
+                            hit.on_hit(way);
+                            assert_eq!(hit.stack.as_slice(), expect, "LazyLRU {ways:?} way {way}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -55,8 +55,8 @@ pub enum PolicyState {
     /// [`PolicyState::Bimodal`]).
     Random(Box<RandomPolicy>),
     /// Any policy outside the [`PolicyKind`](crate::PolicyKind) catalog
-    /// (the sets of a DIP or DRRIP duel, derived permutation policies,
-    /// compiled-table adapters). Pays the old boxed dispatch cost.
+    /// (the sets of a DIP or DRRIP duel, derived permutation policies).
+    /// Pays the old boxed dispatch cost.
     Other(Box<dyn ReplacementPolicy>),
 }
 

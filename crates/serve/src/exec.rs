@@ -23,9 +23,7 @@ use cachekit_bench::json::Json;
 use cachekit_core::analysis::{evict_distance_spec, minimal_lifespan_spec, DistanceError};
 use cachekit_core::attack::{eviction_set_for_kind, stealth_score};
 use cachekit_core::infer::{engine_by_name, infer_geometry, Finding, InferenceRequest};
-use cachekit_core::perm::{
-    lazy_table_for_kind, table_for_kind, LazyTablePolicy, PermutationSpec, TablePolicy,
-};
+use cachekit_core::perm::PermutationSpec;
 use cachekit_hw::{fleet, CacheLevel, LevelOracle};
 use cachekit_policies::kernel::kernel_available;
 use cachekit_policies::PolicyKind;
@@ -181,59 +179,28 @@ fn run_infer(req: &InferRequest) -> Json {
 }
 
 /// Build the cache for one simulated level and name its engine:
-/// `"kernel"`, `"table"`, `"lazy_table"` or `"enum"`.
+/// `"kernel"` or `"enum"`.
 ///
 /// `containment` is `None` for a flat `simulate` request, or the
 /// containment of the hierarchy the level belongs to; `writes` is the
 /// request's write fraction, and only a flat cache reads it. The pick
 /// follows policy, associativity, writes and containment, never measured
 /// speed, so it is a pure function of the request and served bodies stay
-/// cacheable. Every engine is bit-identical to the enum engine:
-///
-/// * a flat read-only request on a pair with a batch kernel runs the
-///   kernel through [`Cache::access_many`];
-/// * a flat cache, or a NINE level, whose reachable state space fits the
-///   eager budget runs on [`TablePolicy`]. It has no invalidate
-///   transition, and NINE never pulls a line out from under a level;
-/// * a flat cache of any other deterministic kind runs on
-///   [`LazyTablePolicy`];
-/// * an inclusive or exclusive level runs on [`LazyTablePolicy`], whose
-///   event alphabet includes invalidation, when the eager table
-///   compiles: a proxy for a state space small enough that the shared
-///   memo warms once and stays resident in a long-lived server;
-/// * everything else runs on the inline enum engine.
+/// cacheable. A flat read-only request on a pair with a batch kernel
+/// runs the kernel through [`Cache::access_many`]; every other cache
+/// runs on the inline enum engine, to which the kernel is bit-identical.
 pub fn select(
     policy: PolicyKind,
     config: CacheConfig,
     writes: f64,
     containment: Option<Containment>,
 ) -> (Cache, &'static str) {
-    let assoc = config.associativity();
-    if containment.is_none() && writes == 0.0 && kernel_available(policy, assoc) {
-        return (Cache::new(config, policy), "kernel");
-    }
-    let eager = table_for_kind(policy, assoc);
-    let lazy = match (containment, eager) {
-        (None | Some(Containment::Nine), Some(table)) => {
-            let cache = Cache::with_policy_factory(config, policy.label(), |_| {
-                Box::new(TablePolicy::new(table.clone()))
-            });
-            return (cache, "table");
-        }
-        (None, None) | (Some(Containment::Inclusive | Containment::Exclusive), Some(_)) => {
-            lazy_table_for_kind(policy, assoc)
-        }
-        (Some(_), None) => None,
-    };
-    match lazy {
-        Some(table) => {
-            let cache = Cache::with_policy_factory(config, policy.label(), |_| {
-                Box::new(LazyTablePolicy::new(table.clone()))
-            });
-            (cache, "lazy_table")
-        }
-        None => (Cache::new(config, policy), "enum"),
-    }
+    let kernel =
+        containment.is_none() && writes == 0.0 && kernel_available(policy, config.associativity());
+    (
+        Cache::new(config, policy),
+        if kernel { "kernel" } else { "enum" },
+    )
 }
 
 fn run_simulate(req: &SimulateRequest) -> Json {
@@ -530,25 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_picks_the_table_engine_for_compilable_kinds() {
-        // PLRU at 8 ways has a small reachable space, and the write
-        // fraction disqualifies the read-only batch kernel: table engine.
-        let req = parse(
-            r#"{"type":"simulate","policy":"PLRU","capacity":65536,"assoc":8,
-                "workload":"zipf_hot","writes":0.2}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"table\""), "body: {body}");
-        // BIP is stochastic: enum engine.
-        let req = parse(
-            r#"{"type":"simulate","policy":"BIP","capacity":65536,"assoc":8,
-                "workload":"zipf_hot"}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"enum\""), "body: {body}");
-    }
-
-    #[test]
     fn simulate_picks_the_batch_kernel_for_pure_read_compiled_pairs() {
         // Pure-read LRU at 16 ways: the monomorphized batch kernel runs,
         // and the response names which kernel was dispatched.
@@ -563,28 +511,14 @@ mod tests {
             "body: {body}"
         );
         assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
-        // Any write traffic falls back to the per-access table path.
+        // Any write traffic falls back to the per-access enum engine.
         let req = parse(
             r#"{"type":"simulate","policy":"LRU","capacity":131072,"assoc":16,
                 "workload":"zipf_hot","writes":0.1}"#,
         );
         let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(!body.contains("\"engine\":\"kernel\""), "body: {body}");
+        assert!(body.contains("\"engine\":\"enum\""), "body: {body}");
         assert!(body.contains("\"kernel\":null"), "body: {body}");
-    }
-
-    #[test]
-    fn simulate_lazy_table_serves_kinds_that_blow_the_eager_budget() {
-        // LRU at 16 ways with writes: 16! permutations blow the eager
-        // table budget, but the lazy table interns only reached states.
-        let req = parse(
-            r#"{"type":"simulate","policy":"LRU","capacity":131072,"assoc":16,
-                "workload":"zipf_hot","writes":0.2}"#,
-        );
-        let body = PipelineExecutor.execute(&req).to_compact();
-        assert!(body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-        assert!(body.contains("\"ok\":true"), "body: {body}");
-        assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
     }
 
     #[test]
@@ -613,27 +547,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_engine_stats_are_bit_identical_to_the_enum_engine() {
-        use cachekit_policies::PolicyKind;
-        for kind in [PolicyKind::Lru, PolicyKind::TreePlru, PolicyKind::Fifo] {
-            let config = CacheConfig::new(16384, 8, 64).unwrap();
-            let table = table_for_kind(kind, 8).expect("kind should compile at 8 ways");
-            let mut tabled = Cache::with_policy_factory(config, kind.label(), |_| {
-                Box::new(TablePolicy::new(table.clone()))
-            });
-            let mut enumed = Cache::new(config, kind);
-            let suite = workloads::suite(16384, 64, 7);
-            for w in &suite {
-                let ops = io::with_writes(&w.trace, 0.3, 7);
-                let a = tabled.run_ops(ops.iter().map(|op| (op.addr, op.write)));
-                let b = enumed.run_ops(ops.iter().map(|op| (op.addr, op.write)));
-                assert_eq!(a, b, "{kind:?} diverged on workload {}", w.name);
-            }
-            assert_eq!(tabled.occupancy(), enumed.occupancy(), "{kind:?}");
-        }
-    }
-
     /// Serve's engine pick, body by body: the 13 differential kinds plus
     /// QLRU-1 (which sim_cold serves), at 4, 8 and 16 ways, as a flat
     /// read, a flat request with writes, and a one-level hierarchy under
@@ -643,33 +556,33 @@ mod tests {
     #[test]
     fn engine_pick_is_pinned_for_every_kind_assoc_and_use() {
         const EXPECTED: &[&str] = &[
-            "LRU@4: kernel(lru4/swar32) table table lazy_table lazy_table",
-            "LRU@8: kernel(lru8/swar64) table table lazy_table lazy_table",
-            "LRU@16: kernel(lru16/swar128) lazy_table enum enum enum",
-            "FIFO@4: kernel(fifo4/swar32) table table lazy_table lazy_table",
-            "FIFO@8: kernel(fifo8/swar64) table table lazy_table lazy_table",
-            "FIFO@16: kernel(fifo16/swar128) table table lazy_table lazy_table",
-            "PLRU@4: kernel(plru4/bits3) table table lazy_table lazy_table",
-            "PLRU@8: kernel(plru8/bits7) table table lazy_table lazy_table",
-            "PLRU@16: kernel(plru16/bits15) lazy_table enum enum enum",
-            "BitPLRU@4: table table table lazy_table lazy_table",
-            "BitPLRU@8: table table table lazy_table lazy_table",
-            "BitPLRU@16: lazy_table lazy_table enum enum enum",
-            "NRU@4: kernel(nru4/bits4) table table lazy_table lazy_table",
-            "NRU@8: kernel(nru8/bits8) table table lazy_table lazy_table",
-            "NRU@16: kernel(nru16/bits16) table table lazy_table lazy_table",
-            "CLOCK@4: table table table lazy_table lazy_table",
-            "CLOCK@8: table table table lazy_table lazy_table",
-            "CLOCK@16: lazy_table lazy_table enum enum enum",
-            "LIP@4: table table table lazy_table lazy_table",
-            "LIP@8: table table table lazy_table lazy_table",
-            "LIP@16: lazy_table lazy_table enum enum enum",
-            "SRRIP-2@4: table table table lazy_table lazy_table",
-            "SRRIP-2@8: table table table lazy_table lazy_table",
-            "SRRIP-2@16: lazy_table lazy_table enum enum enum",
-            "LazyLRU@4: table table table lazy_table lazy_table",
-            "LazyLRU@8: table table table lazy_table lazy_table",
-            "LazyLRU@16: lazy_table lazy_table enum enum enum",
+            "LRU@4: kernel(lru4/swar32) enum enum enum enum",
+            "LRU@8: kernel(lru8/swar64) enum enum enum enum",
+            "LRU@16: kernel(lru16/swar128) enum enum enum enum",
+            "FIFO@4: kernel(fifo4/swar32) enum enum enum enum",
+            "FIFO@8: kernel(fifo8/swar64) enum enum enum enum",
+            "FIFO@16: kernel(fifo16/swar128) enum enum enum enum",
+            "PLRU@4: kernel(plru4/bits3) enum enum enum enum",
+            "PLRU@8: kernel(plru8/bits7) enum enum enum enum",
+            "PLRU@16: kernel(plru16/bits15) enum enum enum enum",
+            "BitPLRU@4: enum enum enum enum enum",
+            "BitPLRU@8: enum enum enum enum enum",
+            "BitPLRU@16: enum enum enum enum enum",
+            "NRU@4: kernel(nru4/bits4) enum enum enum enum",
+            "NRU@8: kernel(nru8/bits8) enum enum enum enum",
+            "NRU@16: kernel(nru16/bits16) enum enum enum enum",
+            "CLOCK@4: enum enum enum enum enum",
+            "CLOCK@8: enum enum enum enum enum",
+            "CLOCK@16: enum enum enum enum enum",
+            "LIP@4: enum enum enum enum enum",
+            "LIP@8: enum enum enum enum enum",
+            "LIP@16: enum enum enum enum enum",
+            "SRRIP-2@4: enum enum enum enum enum",
+            "SRRIP-2@8: enum enum enum enum enum",
+            "SRRIP-2@16: enum enum enum enum enum",
+            "LazyLRU@4: enum enum enum enum enum",
+            "LazyLRU@8: enum enum enum enum enum",
+            "LazyLRU@16: enum enum enum enum enum",
             "BIP-1/32@4: enum enum enum enum enum",
             "BIP-1/32@8: enum enum enum enum enum",
             "BIP-1/32@16: enum enum enum enum enum",
@@ -679,12 +592,12 @@ mod tests {
             "Random@4: enum enum enum enum enum",
             "Random@8: enum enum enum enum enum",
             "Random@16: enum enum enum enum enum",
-            "SLRU-2@4: table table table lazy_table lazy_table",
-            "SLRU-2@8: table table table lazy_table lazy_table",
-            "SLRU-2@16: lazy_table lazy_table enum enum enum",
-            "QLRU-1@4: table table table lazy_table lazy_table",
-            "QLRU-1@8: table table table lazy_table lazy_table",
-            "QLRU-1@16: lazy_table lazy_table enum enum enum",
+            "SLRU-2@4: enum enum enum enum enum",
+            "SLRU-2@8: enum enum enum enum enum",
+            "SLRU-2@16: enum enum enum enum enum",
+            "QLRU-1@4: enum enum enum enum enum",
+            "QLRU-1@8: enum enum enum enum enum",
+            "QLRU-1@16: enum enum enum enum enum",
         ];
         let mut kinds = cachekit_policies::PolicyKind::differential_kinds();
         kinds.push(cachekit_policies::PolicyKind::Qlru { insert: 1 });
@@ -745,92 +658,6 @@ mod tests {
         assert!(body.contains("\"amat_cycles\":"), "body: {body}");
         assert!(body.contains("\"back_invalidations\":"), "body: {body}");
         assert_eq!(body, PipelineExecutor.execute(&req).to_compact());
-    }
-
-    #[test]
-    fn simulate_hierarchy_engine_pick_depends_on_containment() {
-        // PLRU at 4 ways compiles to an eager table, but `TablePolicy`
-        // has no invalidate transition — only NINE containment (where no
-        // line is ever pulled out from under a level) may use it. Under
-        // Inclusive/Exclusive the lazy table, whose event alphabet
-        // includes invalidation, takes over.
-        let nine = parse(
-            r#"{"type":"simulate_hierarchy","workload":"fit_loop","containment":"nine",
-                "levels":[{"policy":"PLRU","capacity":8192,"assoc":4},
-                          {"policy":"PLRU","capacity":65536,"assoc":4}]}"#,
-        );
-        let body = PipelineExecutor.execute(&nine).to_compact();
-        assert!(body.contains("\"engine\":\"table\""), "body: {body}");
-        assert!(!body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-        for containment in ["inclusive", "exclusive"] {
-            let req = parse(&format!(
-                r#"{{"type":"simulate_hierarchy","workload":"fit_loop",
-                    "containment":"{containment}","levels":[
-                    {{"policy":"PLRU","capacity":8192,"assoc":4}},
-                    {{"policy":"PLRU","capacity":65536,"assoc":4}}]}}"#
-            ));
-            let body = PipelineExecutor.execute(&req).to_compact();
-            assert!(!body.contains("\"engine\":\"table\""), "body: {body}");
-            assert!(body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-            assert!(body.contains("\"ok\":true"), "body: {body}");
-        }
-        // A kind outside the eager budget (LRU at 16) stays on the enum
-        // engine under invalidating containments: the smallness gate
-        // keeps the lazy memo from growing without bound in a server.
-        let big = parse(
-            r#"{"type":"simulate_hierarchy","workload":"fit_loop","containment":"inclusive",
-                "levels":[{"policy":"LRU","capacity":16384,"assoc":16},
-                          {"policy":"LRU","capacity":131072,"assoc":16}]}"#,
-        );
-        let body = PipelineExecutor.execute(&big).to_compact();
-        assert!(body.contains("\"engine\":\"enum\""), "body: {body}");
-        assert!(!body.contains("\"engine\":\"lazy_table\""), "body: {body}");
-    }
-
-    #[test]
-    fn lazy_table_hierarchy_stats_are_bit_identical_to_the_enum_engine() {
-        use cachekit_policies::PolicyKind;
-        for containment in [Containment::Inclusive, Containment::Exclusive] {
-            for kind in [PolicyKind::TreePlru, PolicyKind::Fifo] {
-                let build = |lazy: bool| {
-                    let caches: Vec<Cache> = [(8192u64, 4usize), (65536, 4)]
-                        .iter()
-                        .map(|&(capacity, assoc)| {
-                            let config = CacheConfig::new(capacity, assoc, 64).unwrap();
-                            if lazy {
-                                let table =
-                                    lazy_table_for_kind(kind, assoc).expect("deterministic kind");
-                                Cache::with_policy_factory(config, kind.label(), |_| {
-                                    Box::new(LazyTablePolicy::new(table.clone()))
-                                })
-                            } else {
-                                Cache::new(config, kind)
-                            }
-                        })
-                        .collect();
-                    Hierarchy::from_caches(caches).with_containment(containment)
-                };
-                let mut lazy = build(true);
-                let mut enumed = build(false);
-                let suite = workloads::suite(65536, 64, 11);
-                for w in &suite {
-                    for op in io::with_writes(&w.trace, 0.3, 11) {
-                        lazy.access_op(op.addr, op.write);
-                        enumed.access_op(op.addr, op.write);
-                    }
-                }
-                assert_eq!(
-                    lazy.stats(),
-                    enumed.stats(),
-                    "{kind:?} diverged under {containment:?}"
-                );
-                assert_eq!(
-                    lazy.hierarchy_stats(),
-                    enumed.hierarchy_stats(),
-                    "{kind:?} under {containment:?}"
-                );
-            }
-        }
     }
 
     #[test]

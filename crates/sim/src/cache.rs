@@ -754,8 +754,8 @@ mod tests {
         assert_eq!(kernels.batch_kernel(), Some("lru16/swar128"));
         let none = Cache::new(CacheConfig::new(4096, 2, 64).unwrap(), PolicyKind::Lru);
         assert_eq!(none.batch_kernel(), None);
-        // Boxed policies run one access at a time whatever their label
-        // (serve labels its table-adapter caches with the catalog name).
+        // Boxed policies run one access at a time whatever their label,
+        // even a catalog name.
         let cfg = CacheConfig::new(32768, 8, 64).unwrap();
         let boxed =
             Cache::with_policy_factory(cfg, "LRU", |_| Box::new(PolicyKind::Lru.build_state(8, 0)));

@@ -7,13 +7,8 @@
 //! | subject | kinds × ways | test |
 //! |---------|--------------|------|
 //! | boxed replica of the pre-refactor set; the recency-stack kinds run the `PermutationPolicy` interpreter over `PermutationSpec::for_kind`, the age-counter and bimodal kinds test-local references | 13 differential kinds and QLRU-1 × 4/8/16 | `boxed_and_enum_engines_are_bit_identical` |
-//! | `CacheSet` over `TablePolicy` | every pair whose eager table compiles; a must-compile list | `table_engine_is_bit_identical_where_it_compiles` |
-//! | `CacheSet` over `LazyTablePolicy` | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_for_every_deterministic_kind` |
-//! | the same, with invalidations interleaved | every deterministic kind × 4/8/16 | `lazy_table_engine_is_bit_identical_under_invalidation` |
-//! | `CacheSet`s over `LazyTablePolicy`, memo saturated at 4 states | LRU, PLRU, NRU × 8 | `saturated_lazy_memo_stays_bit_identical_via_direct_fallback` |
-//! | eight threads of `CacheSet`s over `LazyTablePolicy`, one shared memo | LRU × 16 | `concurrent_lazy_memo_is_bit_identical_across_eight_threads` |
+//! | the same, with invalidations interleaved | 13 differential kinds and QLRU-1 × 4/8/16 | `boxed_and_enum_engines_are_bit_identical_under_invalidation` |
 //! | `KernelCache` on an interleaved multi-set stream | LRU/FIFO/PLRU/NRU × 4/8/16 | `batch_kernels_are_bit_identical_across_the_whole_grid` |
-//! | `CacheSet` over `TablePolicy` compiled by `PermTable::from_spec`, against the spec interpreter | catalog specs × 4/8 | `catalog_specs_round_trip_through_compiled_tables` |
 //! | the enum engine against a pinned digest | LRU, FIFO, LIP, LazyLRU, every SLRU-k × 1–64 | `stack_kinds_replay_the_pinned_event_stream` |
 //! | the enum engine against a pinned digest | NRU, SRRIP-1…7, QLRU-0…3, BitPLRU, CLOCK, BRRIP-2-1/32 × 1–128 | `age_and_bit_kinds_replay_the_pinned_event_stream` |
 //! | the enum engine against a pinned digest | BIP-1/t, BRRIP-k-1/t for t ∈ {1, 2, 32}, k ∈ {1, 2, 3, 7} × 1–128, salts 0 and 5 | `bimodal_kinds_replay_the_pinned_event_stream` |
@@ -37,10 +32,7 @@
 //! the DIP and DRRIP duels to two computed before the bimodal kinds
 //! were merged, and the set layout to its stated size.
 
-use cachekit::core::perm::{
-    catalog_for, lazy_table_for_kind, table_for_kind, LazyPermTable, LazyTablePolicy, PermTable,
-    PermutationPolicy, PermutationSpec, TablePolicy,
-};
+use cachekit::core::perm::{catalog_for, PermutationPolicy, PermutationSpec};
 use cachekit::policies::conformance::{assert_conformance, assert_state_key_soundness};
 use cachekit::policies::kernel::KernelCache;
 use cachekit::policies::rng::{mix64, Prng};
@@ -83,6 +75,15 @@ impl BoxedSet {
         self.tags[way] = Some(tag);
         self.policy.on_fill(way);
         AccessOutcome::Miss { evicted }
+    }
+
+    fn invalidate(&mut self, tag: u64) -> bool {
+        let Some(way) = self.tags.iter().position(|&t| t == Some(tag)) else {
+            return false;
+        };
+        self.tags[way] = None;
+        self.policy.on_invalidate(way);
+        true
     }
 
     fn tag_in_way(&self, way: usize) -> Option<u64> {
@@ -280,12 +281,6 @@ fn boxed_policy(kind: PolicyKind, assoc: usize, salt: u64) -> Box<dyn Replacemen
     }
 }
 
-/// A set running a boxed table adapter, as serve's table caches build
-/// them (`Cache::with_policy_factory`).
-fn adapter_set(policy: impl ReplacementPolicy + 'static) -> CacheSet {
-    CacheSet::from_state(PolicyState::from_boxed(Box::new(policy)))
-}
-
 /// A mixed hot/cold tag stream exercising hits, cold fills and capacity
 /// evictions.
 fn stream(assoc: usize, len: usize, seed: u64) -> Vec<u64> {
@@ -332,108 +327,22 @@ fn boxed_and_enum_engines_are_bit_identical() {
 }
 
 #[test]
-fn table_engine_is_bit_identical_where_it_compiles() {
-    // These kinds must compile within the budget at the listed
-    // associativities; their absence would silently weaken the suite.
-    let must_compile: &[(PolicyKind, &[usize])] = &[
-        (PolicyKind::Lru, &[4, 8]),
-        (PolicyKind::Fifo, &[4, 8, 16]),
-        (PolicyKind::TreePlru, &[4, 8]),
-        (PolicyKind::Lip, &[4, 8]),
-        (PolicyKind::Slru { protected: 2 }, &[4, 8]),
-        (PolicyKind::LazyLru, &[4, 8]),
-    ];
-    for &(kind, assocs) in must_compile {
-        for &assoc in assocs {
-            assert!(
-                table_for_kind(kind, assoc).is_some(),
-                "{kind:?} at {assoc} ways must be table-compilable"
-            );
-        }
-    }
-    for kind in PolicyKind::differential_kinds() {
+fn boxed_and_enum_engines_are_bit_identical_under_invalidation() {
+    // Accesses interleaved with invalidations of random tags, resident
+    // or not, in lock-step with the boxed replica.
+    let mut kinds = PolicyKind::differential_kinds();
+    kinds.push(PolicyKind::Qlru { insert: 1 });
+    for kind in kinds {
         for assoc in ASSOCS {
-            let Some(table) = table_for_kind(kind, assoc) else {
-                continue;
-            };
-            let mut tabled = adapter_set(TablePolicy::new(table));
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            for (i, &tag) in stream(assoc, 4000, 0x7AB1E).iter().enumerate() {
-                let a = tabled.access_tag(tag);
-                let b = enumed.access_tag(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for w in 0..assoc {
-                assert_eq!(
-                    tabled.tag_in_way(w),
-                    enumed.tag_in_way(w),
-                    "{kind:?} A={assoc} final contents differ in way {w}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn lazy_table_engine_is_bit_identical_for_every_deterministic_kind() {
-    // The lazy table's coverage is exactly the deterministic kinds — at
-    // *every* associativity, including the assoc-16 spaces the eager
-    // compiler cannot afford (LRU at 16 ways is 16! states).
-    for kind in PolicyKind::differential_kinds() {
-        for assoc in ASSOCS {
-            let lazy = lazy_table_for_kind(kind, assoc);
-            assert_eq!(
-                lazy.is_some(),
-                kind.is_deterministic(),
-                "{kind:?} at {assoc} ways: lazy availability must track determinism"
-            );
-            let Some(table) = lazy else { continue };
-            let mut lazed = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                LazyTablePolicy::new(table),
-            )));
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            for (i, &tag) in stream(assoc, 4000, 0x1A2 ^ assoc as u64).iter().enumerate() {
-                let a = lazed.access_tag(tag);
-                let b = enumed.access_tag(tag);
-                assert_eq!(a, b, "{kind:?} A={assoc} diverged at access {i}");
-            }
-            for w in 0..assoc {
-                assert_eq!(
-                    lazed.tag_in_way(w),
-                    enumed.tag_in_way(w),
-                    "{kind:?} A={assoc} final contents differ in way {w}"
-                );
-            }
-            assert_eq!(
-                lazed.policy().state_key(),
-                enumed.policy().state_key(),
-                "{kind:?} A={assoc} final replacement state differs"
-            );
-        }
-    }
-}
-
-#[test]
-fn lazy_table_engine_is_bit_identical_under_invalidation() {
-    // The eager table has no invalidate transition; the lazy alphabet
-    // does. Interleave accesses with invalidations of random resident
-    // tags and require lock-step agreement with the enum engine.
-    for kind in PolicyKind::differential_kinds() {
-        if !kind.is_deterministic() {
-            continue;
-        }
-        for assoc in [4usize, 8, 16] {
-            let table = lazy_table_for_kind(kind, assoc).expect("deterministic kind");
-            let mut lazed = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                LazyTablePolicy::new(table),
-            )));
-            let mut enumed = CacheSet::from_state(kind.build_state(assoc, 0));
-            let mut rng = Prng::seed_from_u64(0x1BAD ^ assoc as u64);
+            let salt = assoc as u64;
+            let mut boxed = BoxedSet::new(boxed_policy(kind, assoc, salt));
+            let mut enumed = CacheSet::from_state(kind.build_state(assoc, salt));
+            let mut rng = Prng::seed_from_u64(0x1BAD ^ salt);
             for i in 0..4000 {
                 if rng.gen_bool(0.15) {
                     let tag = rng.gen_range(0..6 * assoc as u64);
                     assert_eq!(
-                        lazed.invalidate(tag),
+                        boxed.invalidate(tag),
                         enumed.invalidate(tag),
                         "{kind:?} A={assoc} invalidate diverged at step {i}"
                     );
@@ -444,60 +353,16 @@ fn lazy_table_engine_is_bit_identical_under_invalidation() {
                         rng.gen_range(0..6 * assoc as u64)
                     };
                     assert_eq!(
-                        lazed.access_tag(tag),
+                        boxed.access(tag),
                         enumed.access_tag(tag),
                         "{kind:?} A={assoc} diverged at step {i}"
                     );
                 }
             }
             assert_eq!(
-                lazed.policy().state_key(),
+                boxed.policy.state_key(),
                 enumed.policy().state_key(),
                 "{kind:?} A={assoc} final replacement state differs"
-            );
-        }
-    }
-}
-
-#[test]
-fn saturated_lazy_memo_stays_bit_identical_via_direct_fallback() {
-    // With an absurdly small state budget the memo saturates almost
-    // immediately; overflowing sets must degrade to concrete (direct)
-    // execution, never to divergence. (lazy.rs's unit tests check that
-    // the adapters really do fall back.)
-    for kind in [PolicyKind::Lru, PolicyKind::TreePlru, PolicyKind::Nru] {
-        let assoc = 8;
-        let template = kind.build_state(assoc, 0);
-        let table = Arc::new(LazyPermTable::new(&template, 4).expect("deterministic template"));
-        let mut lazed: Vec<CacheSet> = (0..8)
-            .map(|_| adapter_set(LazyTablePolicy::new(table.clone())))
-            .collect();
-        let mut enumed: Vec<CacheSet> = (0..8)
-            .map(|s| CacheSet::from_state(kind.build_state(assoc, s)))
-            .collect();
-        let mut rng = Prng::seed_from_u64(0x5A7);
-        for i in 0..20_000 {
-            let set = rng.gen_range(0..8) as usize;
-            let tag = rng.gen_range(0..6 * assoc as u64);
-            assert_eq!(
-                lazed[set].access_tag(tag),
-                enumed[set].access_tag(tag),
-                "{kind:?} diverged at step {i}"
-            );
-        }
-        assert!(table.saturated(), "budget 4 must saturate {kind:?}");
-        for (set, (la, en)) in lazed.iter().zip(&enumed).enumerate() {
-            for w in 0..assoc {
-                assert_eq!(
-                    la.tag_in_way(w),
-                    en.tag_in_way(w),
-                    "{kind:?} set {set} way {w} differs"
-                );
-            }
-            assert_eq!(
-                la.policy().state_key(),
-                en.policy().state_key(),
-                "{kind:?} set {set} final replacement state differs"
             );
         }
     }
@@ -557,74 +422,6 @@ fn batch_kernels_are_bit_identical_across_the_whole_grid() {
 }
 
 #[test]
-fn concurrent_lazy_memo_is_bit_identical_across_eight_threads() {
-    // Eight threads hammer ONE shared lock-free memo (CAS-published
-    // rows), each driving its own sets over its own stream. Every
-    // thread must end bit-identical to a single-threaded enum replay of
-    // the same stream — regardless of interleaving, lost CAS races, or
-    // which thread interned which state first.
-    use std::thread;
-    let assoc = 16usize;
-    let kind = PolicyKind::Lru; // 16! states: the memo actually grows.
-    let template = kind.build_state(assoc, 0);
-    let table = Arc::new(LazyPermTable::new(&template, 1 << 14).expect("deterministic"));
-    let streams: Vec<Vec<(u32, u64)>> = (0..8)
-        .map(|t| {
-            let mut rng = Prng::seed_from_u64(0xC0CC ^ t);
-            (0..30_000)
-                .map(|_| {
-                    let set = rng.gen_range(0..16) as u32;
-                    let tag = if rng.gen_bool(0.5) {
-                        rng.gen_range(0..assoc as u64)
-                    } else {
-                        rng.gen_range(0..6 * assoc as u64)
-                    };
-                    (set, tag)
-                })
-                .collect()
-        })
-        .collect();
-    let got: Vec<u64> = thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                let table = table.clone();
-                scope.spawn(move || {
-                    let mut sets: Vec<CacheSet> = (0..16)
-                        .map(|_| adapter_set(LazyTablePolicy::new(table.clone())))
-                        .collect();
-                    let mut hits = 0u64;
-                    for &(set, tag) in stream {
-                        hits += u64::from(sets[set as usize].access_tag(tag).is_hit());
-                    }
-                    hits
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (t, (stream, &hits)) in streams.iter().zip(&got).enumerate() {
-        let mut enumed: Vec<CacheSet> = (0..16)
-            .map(|_| CacheSet::from_state(kind.build_state(assoc, 0)))
-            .collect();
-        let mut want = 0u64;
-        for &(set, tag) in stream {
-            want += u64::from(enumed[set as usize].access_tag(tag).is_hit());
-        }
-        assert_eq!(hits, want, "thread {t} diverged from the enum replay");
-    }
-}
-
-#[test]
-fn oversized_state_spaces_fall_back_to_the_enum_engine() {
-    // Full LRU at 16 ways has 16! priority orders — far over the u16
-    // budget. The memoized lookup must report that honestly (and the
-    // serving layer then falls back to the enum engine).
-    assert!(table_for_kind(PolicyKind::Lru, 16).is_none());
-    assert!(table_for_kind(PolicyKind::Lip, 16).is_none());
-}
-
-#[test]
 fn enum_engine_passes_policy_conformance_for_all_differential_kinds() {
     for kind in PolicyKind::differential_kinds() {
         for assoc in ASSOCS {
@@ -643,31 +440,6 @@ fn enum_engine_state_keys_are_sound_for_all_deterministic_kinds() {
             continue;
         }
         assert_state_key_soundness(|| Box::new(kind.build_state(8, 5)), 300);
-    }
-}
-
-#[test]
-fn catalog_specs_round_trip_through_compiled_tables() {
-    // Every deterministic permutation kind in the catalog: compiling the
-    // spec must replay the spec interpreter's hit/miss trace exactly.
-    for assoc in [4usize, 8] {
-        for entry in catalog_for(assoc) {
-            let table = PermTable::from_spec(&entry.spec, 65_535)
-                .unwrap_or_else(|e| panic!("{} at {assoc} ways: {e}", entry.name));
-            let mut tabled = adapter_set(TablePolicy::new(Arc::new(table)));
-            let mut interp = CacheSet::from_state(PolicyState::from_boxed(Box::new(
-                PermutationPolicy::new(entry.spec.clone()),
-            )));
-            for (i, &tag) in stream(assoc, 3000, 0xCA7A).iter().enumerate() {
-                let a = tabled.access_tag(tag);
-                let b = interp.access_tag(tag);
-                assert_eq!(
-                    a, b,
-                    "catalog {} A={assoc} diverged at access {i}",
-                    entry.name
-                );
-            }
-        }
     }
 }
 

@@ -4,8 +4,10 @@
 //! fault it returned — into an FNV-1a digest. Each run pins its call
 //! count, that stream digest, and a digest of the report's `Debug`
 //! rendering, so an added, dropped or reordered query fails here even
-//! when the verdict stays the same. Table 3's measurement costs and
-//! every served `infer` body depend on that stream.
+//! when the verdict stays the same. A strict run's report must also
+//! count exactly its pinned calls in `measurements_used`. Table 3's
+//! measurement costs and every served `infer` body depend on that
+//! stream.
 
 use cachekit::core::infer::{
     engine_by_name, infer_geometry, CacheOracle, CacheOracleExt, Geometry, InferenceConfig,
@@ -80,17 +82,20 @@ impl<O: CacheOracle> CacheOracle for Digest<O> {
 }
 
 /// Run `engine` over `oracle` and return (calls, stream digest, report
-/// digest).
+/// digest) and the report's `measurements_used`.
 fn pin<O: CacheOracle>(
     engine: &dyn InferenceEngine,
     oracle: O,
     geometry: Geometry,
     config: InferenceConfig,
-) -> (u64, u64, u64) {
+) -> ((u64, u64, u64), u64) {
     let mut digest = Digest::new(oracle);
     let report = engine.infer(&mut digest, &InferenceRequest::new(geometry, config));
     let rendered = fnv(FNV_OFFSET, format!("{report:?}").as_bytes());
-    (digest.calls, digest.hash, rendered)
+    (
+        (digest.calls, digest.hash, rendered),
+        report.measurements_used,
+    )
 }
 
 fn sim(kind: PolicyKind, assoc: usize) -> (SimOracle, Geometry) {
@@ -138,7 +143,11 @@ fn runs() -> Vec<(String, (u64, u64, u64))> {
             for kind in kinds {
                 let (oracle, geometry) = sim(kind, assoc);
                 let name = format!("{variant}/{}/{assoc}", kind.label());
-                let pinned = pin(&engine, oracle, geometry, InferenceConfig::default());
+                let (pinned, used) = pin(&engine, oracle, geometry, InferenceConfig::default());
+                if variant == "strict" {
+                    // The strict report counts every oracle call it made.
+                    assert_eq!(used, pinned.0, "{name}: measurements_used");
+                }
                 out.push((name, pinned));
             }
         }
@@ -161,7 +170,7 @@ fn runs() -> Vec<(String, (u64, u64, u64))> {
     ] {
         let (oracle, geometry) = sim(kind, assoc);
         let name = format!("budgeted/faults-{seed:x}/{}/{assoc}", kind.label());
-        let pinned = pin(
+        let (pinned, _) = pin(
             &budgeted,
             oracle.layer(faulted(seed)),
             geometry,
@@ -170,7 +179,7 @@ fn runs() -> Vec<(String, (u64, u64, u64))> {
         out.push((name, pinned));
     }
     let (oracle, geometry) = sim(PolicyKind::TreePlru, 4);
-    let pinned = pin(&budgeted, oracle, geometry, config(Some(200)));
+    let (pinned, _) = pin(&budgeted, oracle, geometry, config(Some(200)));
     out.push(("budgeted/dry-200/PLRU/4".to_owned(), pinned));
 
     // The served path: what an `infer` request for atom_d525's L1 runs.
@@ -179,7 +188,7 @@ fn runs() -> Vec<(String, (u64, u64, u64))> {
     let mut oracle = LevelOracle::new(&mut cpu, CacheLevel::L1);
     let geometry = infer_geometry(&mut oracle, &config).expect("atom L1 geometry");
     let engine = engine_by_name("permutation").expect("known engine");
-    let pinned = pin(engine.as_ref(), oracle, geometry, config);
+    let (pinned, _) = pin(engine.as_ref(), oracle, geometry, config);
     out.push(("served/atom_d525/l1".to_owned(), pinned));
     out
 }
@@ -188,52 +197,52 @@ fn runs() -> Vec<(String, (u64, u64, u64))> {
 /// query stream or report changed; update one only for an intended change
 /// to the queries.
 const PINNED: &[(&str, u64, u64, u64)] = &[
-    ("strict/LRU/4", 310, 0x3a9f71ae53eccaf0, 0x7e0e78cf279f2333),
-    ("strict/FIFO/4", 310, 0xa7a93da7d0cf4460, 0x4d0833095671fb44),
-    ("strict/PLRU/4", 310, 0x8aa95fddf8cb6631, 0xf8ed69646d3104e5),
+    ("strict/LRU/4", 310, 0x3a9f71ae53eccaf0, 0xc864f99f39a75717),
+    ("strict/FIFO/4", 310, 0xa7a93da7d0cf4460, 0x9fb0165c5dcc3d18),
+    ("strict/PLRU/4", 310, 0x8aa95fddf8cb6631, 0x88f213259c7d1fad),
     (
         "strict/LazyLRU/4",
         310,
         0x06d8c0f0d49aede2,
-        0xa7109a3745d63da7,
+        0xe3090daee2015f4b,
     ),
-    ("strict/LIP/4", 10, 0x113e69301f39c6fd, 0xb7ac2e0603cf3d88),
+    ("strict/LIP/4", 10, 0x113e69301f39c6fd, 0x211e481eac6a7271),
     (
         "strict/SLRU-2/4",
         10,
         0xee67e3f48042fa1c,
-        0xd9a71bc77c3d7c07,
+        0x584895b7a0cddd7c,
     ),
     (
         "strict/BitPLRU/4",
         10,
         0x4370ca6722506846,
-        0x76f74f991364815e,
+        0x8611adec4e3e7d7b,
     ),
-    ("strict/Random/4", 4, 0x030fab2104b02623, 0x943cae42a4913ec3),
-    ("strict/LRU/8", 997, 0xcabc9e2d47e83886, 0x3c93427f6210f9f6),
-    ("strict/FIFO/8", 997, 0x2ccc6d9f1315c5fb, 0x3fdde0970c993bcb),
-    ("strict/PLRU/8", 997, 0x43b92c9e2dddc53d, 0xb785c0e4d578bd1e),
+    ("strict/Random/4", 4, 0x030fab2104b02623, 0x473a117f913b6c4f),
+    ("strict/LRU/8", 997, 0xcabc9e2d47e83886, 0xc3e64cbf2abee0cf),
+    ("strict/FIFO/8", 997, 0x2ccc6d9f1315c5fb, 0xdea270bbc0358cc6),
+    ("strict/PLRU/8", 997, 0x43b92c9e2dddc53d, 0x26625a87c4538b17),
     (
         "strict/LazyLRU/8",
         997,
         0xd0f89755073accbc,
-        0xcdcfdd5c72f0bad2,
+        0xffa2970adfee3803,
     ),
-    ("strict/LIP/8", 13, 0xf225ec72f1343284, 0x8910e519c6c3c94c),
+    ("strict/LIP/8", 13, 0xf225ec72f1343284, 0xedfd1814454a4c16),
     (
         "strict/SLRU-2/8",
         13,
         0xd5c475a60936f9c8,
-        0xd9a71bc77c3d7c07,
+        0x029949835ee22e9f,
     ),
     (
         "strict/BitPLRU/8",
         13,
         0x30127d6a0f396242,
-        0x76f74f991364815e,
+        0x9174b7f32272c298,
     ),
-    ("strict/Random/8", 4, 0x379a4b720b80fe73, 0x943cae42a4913ec3),
+    ("strict/Random/8", 4, 0x379a4b720b80fe73, 0x473a117f913b6c4f),
     (
         "budgeted/LRU/4",
         409,
